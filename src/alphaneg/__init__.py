@@ -29,7 +29,6 @@ from .errors import (
 from .linalg import (
     BipartitionDims,
     HermitianEig,
-    Tolerances,
     hermitian_eig,
     matrix_power_support,
     partial_trace,

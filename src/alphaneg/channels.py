@@ -6,10 +6,17 @@ is the unnormalized (id (x) N) applied to d * (maximally entangled), with the
 reference factor first.  The composite index is the row-major one used
 everywhere else in the package.
 
+One builder, ``_conjugated_choi``, gives the Choi matrix of P_out . N . P_in
+for any maps on the input and output sides; ``is_cpptp``,
+``is_cpptp_instrument`` and ``resource._check_free_operation`` are its uses.
+One seeded multi-start Nelder-Mead search, ``_multistart_search``, serves
+both ``channel_e_alpha`` and ``resource.r_alpha_channel``.
+
 Channel JSON format: {"kind": "kraus" | "superop", "dims_in": [...],
 "dims_out": [...], "data": ...} with the same [re, im] entry pairs as the
-state format.  ``dims_in``/``dims_out`` carry one entry for a simple system
-or [dA, dB] for a declared bipartition (needed by the PPT-preserving checks).
+state format, parsed by the same parser.  ``dims_in``/``dims_out`` carry one
+entry for a simple system or [dA, dB] for a declared bipartition (needed by
+the PPT-preserving checks).
 """
 
 from __future__ import annotations
@@ -22,16 +29,15 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize
 
-from .errors import InvalidStateError, NotCpptpError, OutOfDomainError
+from .errors import InvalidStateError, NotConvergedError, NotCpptpError, OutOfDomainError
 from .linalg import (
     BipartitionDims,
-    check_hermitian,
     herm_part,
     op_norm,
     partial_trace,
-    subsystem_transpose,
+    partial_transpose,
 )
-from .states import BipartiteState, swap_operator
+from .states import BipartiteState, _pairs_to_matrix, swap_operator
 
 _PROB_CUTOFF = 1e-8
 
@@ -153,25 +159,56 @@ def _require_bipartitions(channel: Channel) -> tuple[BipartitionDims, Bipartitio
     return channel.bipartition_in, channel.bipartition_out
 
 
-def _pt_conjugated_choi(channel: Channel) -> np.ndarray:
-    """Choi matrix of T_B' . N . T_B, via partial transposes on the Choi."""
-    bin_, bout = _require_bipartitions(channel)
+def _conjugated_choi(apply, p_in, p_out, d_in: int) -> np.ndarray:
+    """Choi matrix sum_ij |i><j| (x) (P_out . N . P_in)(|i><j|), reference first.
+
+    N is ``apply``; the maps P_in and P_out act on the input and output
+    spaces.  They are trusted on Hermitian inputs only, so the composite M is
+    applied to the Hermitian basis E_ii, H1 = E_ij + E_ji, H2 = i(E_ij - E_ji)
+    (i < j) alone.  The image of E_ij is then (M(H1) - i M(H2)) / 2, the
+    unique complex-linear extension of the Hermiticity-preserving map M.
+    """
+
+    def m(x):
+        return p_out(apply(p_in(x)))
+
+    def unit(i, j):
+        e = np.zeros((d_in, d_in), dtype=complex)
+        e[i, j] = 1.0
+        return e
+
+    blocks = [[None] * d_in for _ in range(d_in)]
+    for i in range(d_in):
+        blocks[i][i] = m(unit(i, i))
+        for j in range(i + 1, d_in):
+            m1 = m(unit(i, j) + unit(j, i))
+            m2 = m(1j * (unit(i, j) - unit(j, i)))
+            blocks[i][j] = (m1 - 1j * m2) / 2
+            blocks[j][i] = (m1 + 1j * m2) / 2
+    return np.block(blocks)
+
+
+def _cp_and_pt_conjugate_cp(channel: Channel, tol: float) -> bool:
+    """N and T_B' . N . T_B are both completely positive, with the partial
+    transposes taken on the declared input and output bipartitions."""
     J = choi_of(channel)
-    dims = (bin_.dA, bin_.dB, bout.dA, bout.dB)
-    return subsystem_transpose(J, dims, (1, 3))
+    scale = max(1.0, op_norm(J))
+    if float(np.linalg.eigvalsh(herm_part(J))[0]) < -tol * scale:
+        return False
+    bin_, bout = _require_bipartitions(channel)
+    Jt = _conjugated_choi(
+        channel.apply,
+        lambda m: partial_transpose(m, bin_, "B"),
+        lambda m: partial_transpose(m, bout, "B"),
+        channel.dim_in,
+    )
+    return float(np.linalg.eigvalsh(herm_part(Jt))[0]) >= -tol * scale
 
 
 def is_cpptp(channel: Channel, tol: float = 1e-9) -> bool:
     """True iff the map is CPTP and stays completely positive after
     conjugation by the partial transposes on both sides."""
-    J = choi_of(channel)
-    scale = max(1.0, op_norm(J))
-    if float(np.linalg.eigvalsh(herm_part(J))[0]) < -tol * scale:
-        return False
-    if not choi_is_tp(channel, tol):
-        return False
-    Jt = _pt_conjugated_choi(channel)
-    return float(np.linalg.eigvalsh(herm_part(Jt))[0]) >= -tol * scale
+    return choi_is_tp(channel, tol) and _cp_and_pt_conjugate_cp(channel, tol)
 
 
 @dataclass(frozen=True)
@@ -203,14 +240,7 @@ class Instrument:
 
 def is_cpptp_instrument(instr: Instrument, tol: float = 1e-9) -> bool:
     """Each element CP with CP partial-transpose conjugate, sum trace preserving."""
-    for el in instr.element_channels():
-        J = choi_of(el)
-        scale = max(1.0, op_norm(J))
-        if float(np.linalg.eigvalsh(herm_part(J))[0]) < -tol * scale:
-            return False
-        if float(np.linalg.eigvalsh(herm_part(_pt_conjugated_choi(el)))[0]) < -tol * scale:
-            return False
-    return True
+    return all(_cp_and_pt_conjugate_cp(el, tol) for el in instr.element_channels())
 
 
 def instrument_outcomes(instr: Instrument, rho) -> list[tuple[float, BipartiteState]]:
@@ -265,11 +295,7 @@ def _extend_apply(channel: Channel, rho_ra: np.ndarray, d_ref: int) -> np.ndarra
     for r in range(d_ref):
         for s in range(d_ref):
             block = rho_ra[r * din : (r + 1) * din, s * din : (s + 1) * din]
-            if isinstance(channel, KrausChannel):
-                img = sum(k @ block @ k.conj().T for k in channel.kraus_ops)
-            else:
-                img = channel.apply(block)
-            out[r * dout : (r + 1) * dout, s * dout : (s + 1) * dout] = img
+            out[r * dout : (r + 1) * dout, s * dout : (s + 1) * dout] = channel.apply(block)
     return out
 
 
@@ -285,50 +311,21 @@ def channel_output_state(channel: Channel, psi_matrix: np.ndarray) -> BipartiteS
     return BipartiteState(BipartitionDims(d_ref, channel.dim_out), out)
 
 
-def channel_e_alpha(
-    channel: Channel,
-    alpha: float,
-    cfg=None,
-    with_details: bool = False,
-):
-    """Largest measure value over pure inputs with reference a copy of the input.
+def _multistart_search(objective, d: int, first_start: np.ndarray, cfg, with_details: bool):
+    """Largest value of -objective found by Nelder-Mead over 2 d^2 real
+    parameters, from ``first_start`` and then seeded random restarts.
 
-    Derivative-free simplex search over the 2 d_A^2 real amplitude parameters
-    with seeded random restarts; the first restart starts at the maximally
-    entangled input.  Returns the best value found (and search details when
-    ``with_details``); a restart spread above ``value_tol`` is reported in the
-    details rather than raised.
+    Returns the best value (and the search details when ``with_details``); a
+    restart spread above ``value_tol`` is reported in the details rather than
+    raised.
     """
-    from .solver import DEFAULT_CONFIG, e_alpha
-
-    cfg = cfg or DEFAULT_CONFIG
-    d = channel.dim_in
     if d > 4:
         raise ValueError("channel search is desk-scale, input dimension must be <= 4")
-    inner_cfg = replace(cfg, with_bracket=False)
     n = d * d
-
-    def objective(x: np.ndarray) -> float:
-        psi = (x[:n] + 1j * x[n:]).reshape(d, d)
-        norm = np.linalg.norm(psi)
-        if norm < 1e-8:
-            return 1e6
-        try:
-            state = channel_output_state(channel, psi / norm)
-            from .errors import NotConvergedError
-
-            try:
-                return -e_alpha(state, alpha, inner_cfg).value_bits
-            except NotConvergedError as exc:
-                return -exc.result.value_bits if exc.result else 1e6
-        except InvalidStateError:
-            return 1e6
-
     rng = np.random.default_rng(cfg.seed)
-    bell = np.concatenate([np.eye(d).reshape(-1) / math.sqrt(d), np.zeros(n)])
     bests = []
     for restart in range(max(1, cfg.restarts)):
-        x0 = bell if restart == 0 else rng.standard_normal(2 * n)
+        x0 = first_start if restart == 0 else rng.standard_normal(2 * n)
         res = optimize.minimize(
             objective,
             x0,
@@ -344,6 +341,42 @@ def channel_e_alpha(
             "dispersion_flag": value - min(bests) > cfg.value_tol,
         }
     return value
+
+
+def channel_e_alpha(
+    channel: Channel,
+    alpha: float,
+    cfg=None,
+    with_details: bool = False,
+):
+    """Largest measure value over pure inputs with reference a copy of the input.
+
+    Searches the 2 d_A^2 real amplitude parameters with ``_multistart_search``;
+    the first restart starts at the maximally entangled input.
+    """
+    from .solver import DEFAULT_CONFIG, e_alpha
+
+    cfg = cfg or DEFAULT_CONFIG
+    d = channel.dim_in
+    inner_cfg = replace(cfg, with_bracket=False)
+    n = d * d
+
+    def objective(x: np.ndarray) -> float:
+        psi = (x[:n] + 1j * x[n:]).reshape(d, d)
+        norm = np.linalg.norm(psi)
+        if norm < 1e-8:
+            return 1e6
+        try:
+            state = channel_output_state(channel, psi / norm)
+            try:
+                return -e_alpha(state, alpha, inner_cfg).value_bits
+            except NotConvergedError as exc:
+                return -exc.result.value_bits if exc.result else 1e6
+        except InvalidStateError:
+            return 1e6
+
+    bell = np.concatenate([np.eye(d).reshape(-1) / math.sqrt(d), np.zeros(n)])
+    return _multistart_search(objective, d, bell, cfg, with_details)
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +484,22 @@ def random_local_instrument(
     return Instrument(tuple(elements), dims, dims)
 
 
-def _pairs_to_matrix(rows) -> np.ndarray:
-    return np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex)
-
-
 def channel_from_json(payload: dict) -> Channel:
     try:
         kind = payload["kind"]
         din, bin_ = _parse_dims(payload["dims_in"])
         dout, bout = _parse_dims(payload["dims_out"])
         data = payload["data"]
+        if kind == "kraus":
+            ops = tuple(_pairs_to_matrix(m) for m in data)
+        elif kind == "superop":
+            matrix = _pairs_to_matrix(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed channel JSON: {exc}") from exc
     if kind == "kraus":
-        ops = tuple(_pairs_to_matrix(m) for m in data)
         return KrausChannel(ops, din, dout, bin_, bout)
     if kind == "superop":
-        return SuperOperator(_pairs_to_matrix(data), din, dout, bin_, bout)
+        return SuperOperator(matrix, din, dout, bin_, bout)
     raise ValueError(f"unknown channel kind {kind!r}")
 
 

@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import AlphaOutOfRangeError, NotPositiveDefiniteError, ZeroOperatorError
 from .linalg import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
     check_hermitian,
     herm_part,
     hermitian_eig,
@@ -46,9 +44,9 @@ def check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-def _check_pair(X: np.ndarray, sigma: np.ndarray, tol: Tolerances):
-    X = check_hermitian(X, tol.hermiticity)
-    sigma = check_hermitian(sigma, tol.hermiticity)
+def _check_pair(X: np.ndarray, sigma: np.ndarray):
+    X = check_hermitian(X)
+    sigma = check_hermitian(sigma)
     if not np.any(X):
         raise ZeroOperatorError("first argument is the zero operator")
     if not np.any(sigma):
@@ -56,99 +54,74 @@ def _check_pair(X: np.ndarray, sigma: np.ndarray, tol: Tolerances):
     return X, sigma
 
 
-def mu_alpha(
-    X: np.ndarray,
-    sigma: np.ndarray,
-    alpha: float,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def mu_alpha(X: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """Weighted Schatten-alpha functional of Hermitian X relative to PSD sigma.
 
     Returns +inf when supp(X) is not contained in supp(sigma).
     """
     alpha = check_alpha(alpha)
-    X, sigma = _check_pair(X, sigma, tol)
-    if not support_leq(X, sigma, tol.support):
+    X, sigma = _check_pair(X, sigma)
+    if not support_leq(X, sigma):
         return INF
     if alpha == 1:
-        proj = support_projector(sigma, tol.support)
+        proj = support_projector(sigma)
         return schatten_norm(proj @ X @ proj, 1)
     if math.isinf(alpha):
-        inv_sqrt = matrix_power_support(sigma, -0.5, tol.support)
+        inv_sqrt = matrix_power_support(sigma, -0.5)
         return schatten_norm(inv_sqrt @ X @ inv_sqrt, INF)
     p = (1 - alpha) / (2 * alpha)
-    sp = matrix_power_support(sigma, p, tol.support)
+    sp = matrix_power_support(sigma, p)
     return schatten_norm(sp @ X @ sp, alpha)
 
 
-def nu_alpha(
-    X: np.ndarray,
-    sigma: np.ndarray,
-    alpha: float,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def nu_alpha(X: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """log2 of mu_alpha; +inf propagates."""
-    mu = mu_alpha(X, sigma, alpha, tol)
+    mu = mu_alpha(X, sigma, alpha)
     if math.isinf(mu):
         return INF
     return math.log2(mu)
 
 
-def d_max(X: np.ndarray, sigma: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def d_max(X: np.ndarray, sigma: np.ndarray) -> float:
     """Max relative entropy log2 inf{lam : -lam*sigma <= X <= lam*sigma}.
 
     Computed as the weighted operator norm on the support of sigma; equals
     nu_alpha at alpha=inf.
     """
-    return nu_alpha(X, sigma, INF, tol)
+    return nu_alpha(X, sigma, INF)
 
 
-def sandwiched_renyi(
-    X: np.ndarray,
-    sigma: np.ndarray,
-    alpha: float,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def sandwiched_renyi(X: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """Sandwiched Renyi relative entropy (alpha/(alpha-1)) * nu_alpha, alpha > 1."""
     alpha = check_alpha(alpha)
     if alpha == 1:
         raise AlphaOutOfRangeError("sandwiched Renyi prefactor is singular at alpha = 1")
-    nu = nu_alpha(X, sigma, alpha, tol)
+    nu = nu_alpha(X, sigma, alpha)
     if math.isinf(nu):
         return INF
     factor = 1.0 if math.isinf(alpha) else alpha / (alpha - 1)
     return factor * nu
 
 
-def gamma_conjugate(
-    X: np.ndarray,
-    sigma: np.ndarray,
-    inverse: bool = False,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
+def gamma_conjugate(X: np.ndarray, sigma: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Conjugation sigma^(1/2) X sigma^(1/2), or its inverse for PD sigma."""
-    X = check_hermitian(X, tol.hermiticity)
-    eig = hermitian_eig(sigma, tol.hermiticity)
+    X = check_hermitian(X)
+    eig = hermitian_eig(sigma)
     if float(eig.eigenvalues[0]) <= 0:
         raise NotPositiveDefiniteError("conjugation base must be positive definite")
     half = (eig.eigenvectors * eig.eigenvalues ** (-0.5 if inverse else 0.5)) @ eig.eigenvectors.conj().T
     return herm_part(half @ X @ half)
 
 
-def weighted_norm(
-    X: np.ndarray,
-    sigma: np.ndarray,
-    p: float,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def weighted_norm(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
     """Weighted Schatten norm || sigma^(1/2p) X sigma^(1/2p) ||_p for PD sigma.
 
     At p = inf the weight drops out and this is the plain operator norm.
     """
     if p < 1:
         raise AlphaOutOfRangeError(f"norm order must be >= 1, got {p}")
-    X = check_hermitian(X, tol.hermiticity)
-    eig = hermitian_eig(sigma, tol.hermiticity)
+    X = check_hermitian(X)
+    eig = hermitian_eig(sigma)
     if float(eig.eigenvalues[0]) <= 0:
         raise NotPositiveDefiniteError("weighted norm base must be positive definite")
     if math.isinf(p):

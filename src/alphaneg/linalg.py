@@ -30,17 +30,6 @@ HERMITICITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    """Shared numeric thresholds for support and Hermiticity decisions."""
-
-    support: float = SUPPORT_TOL
-    hermiticity: float = HERMITICITY_TOL
-
-
-DEFAULT_TOLERANCES = Tolerances()
-
-
-@dataclass(frozen=True)
 class BipartitionDims:
     """The A:B split of a composite space of dimension dA * dB."""
 

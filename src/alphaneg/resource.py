@@ -1,27 +1,37 @@
 """Generalized measures: any positive map in place of the partial transpose.
 
 The free set is {sigma : sigma >= 0, P(sigma) >= 0, Tr sigma = 1} and the
-measure is the infimum over it of the order-alpha divergence of P(rho).  An
-instrument is free when P . N . P is completely positive for each element N:
-then N maps free states to free states, so the measure cannot increase on
+measure is the infimum over it of the order-alpha divergence of P(rho).  This
+module holds the one measure engine, ``_measure``: the free-input
+short-circuit, the closed form at order 1, projected gradient between, the
+barrier SDP at order infinity, and the bracket audit ``_audit``.  ``r_alpha``
+validates a ``PositiveMapSpec`` and calls the engine; ``solver.e_alpha`` and
+``solver.e_kappa`` call it with the partial transpose T_B, so the
+entanglement measure is the T_B case of this one.
+
+The engine is sound exactly when P is a Hermiticity-preserving
+trace-preserving involution that is also a Frobenius isometry: then
+P . psd_project . P is an exact nearest-point map for the {P(sigma) >= 0}
+cone and P is self-adjoint and unital, which the interior-point start relies
+on.  Maps without those properties are rejected rather than approximated.
+
+An instrument is free when P . N . P is completely positive for each element
+N: then N maps free states to free states, so the measure cannot increase on
 average (for P = T_B this is the completely-PPT-preserving condition).  The
-generic solver reuses the projected-gradient and barrier machinery, which is
-sound exactly when P is a Hermiticity-preserving trace-preserving involution
-that is also a Frobenius isometry: then P . psd_project . P is an exact
-nearest-point map for the {P(sigma) >= 0} cone and P is self-adjoint and
-unital, which the interior-point start relies on.  Maps without those
-properties are rejected rather than approximated.
+check uses the one conjugated Choi builder of ``channels``, and the channel
+measure uses its one multi-start search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
+from .channels import _conjugated_choi, _multistart_search, choi_of, instrument_outcomes
+from .divergence import check_alpha
 from .errors import (
     CommutationFailedError,
     NotConvergedError,
@@ -36,8 +46,9 @@ from .linalg import (
     partial_transpose,
     schatten_norm,
 )
+from .pptgeom import interior_point, regularize
 from .solver import DEFAULT_CONFIG, MeasureResult, SolverConfig, _kappa_core, _pg_core
-from .states import BipartiteState, as_state
+from .states import STATE_ATOL, BipartiteState, as_state
 
 _VERIFY_SAMPLES = 20
 _VERIFY_TOL = 1e-9
@@ -140,108 +151,120 @@ def free_membership(sigma, pmap: PositiveMapSpec, tol: float = 1e-9) -> bool:
 
 def r_alpha(rho, pmap: PositiveMapSpec, alpha: float, cfg: SolverConfig = DEFAULT_CONFIG) -> MeasureResult:
     """Resourcefulness of a state with respect to the map, in bits."""
-    from .divergence import check_alpha
-
     alpha = check_alpha(alpha)
     _require_solver_grade(pmap)
     rho = as_state(rho)
     _require_dim(pmap, rho.dims.total, "state dimension")
     X = herm_part(pmap.apply(rho.matrix))
     lower = max(0.0, math.log2(schatten_norm(X, 1)))
+    return _measure(
+        rho, X, pmap.apply, lower, alpha, cfg,
+        lambda result: _audit(rho, result, pmap.apply, lower, cfg),
+    )
 
-    if free_membership(rho, pmap):
-        sigma = herm_part(pmap.apply(rho.matrix))
+
+def _measure(
+    rho: BipartiteState,
+    X: np.ndarray,
+    apply_map: Callable[[np.ndarray], np.ndarray],
+    lower: float,
+    alpha: float,
+    cfg: SolverConfig,
+    audit: Callable[[MeasureResult], object],
+) -> MeasureResult:
+    """The measure of rho at a validated order, for a trusted map P.
+
+    X is P(rho) and ``lower`` the closed-form order-1 value.  A free input
+    (P(rho) >= 0) short-circuits to zero; otherwise order 1 is closed form,
+    order infinity the SDP, and the orders between run projected gradient.
+    ``audit`` fills in and checks the bracket of finite-order results: the
+    public ``solver.bracket`` on the T_B path, ``_audit`` for other maps.
+    """
+    if float(np.linalg.eigvalsh(X)[0]) >= -STATE_ATOL:
         return MeasureResult(
             value_bits=0.0,
             alpha=alpha,
-            certificate_sigma=BipartiteState(rho.dims, sigma / np.trace(sigma).real),
+            certificate_sigma=regularize(BipartiteState(rho.dims, X), cfg.eps_schedule.floor),
             iterations=0,
             converged=True,
             bracket=(0.0, 0.0),
             diagnostic="input is free; measure vanishes identically",
         )
-
     if math.isinf(alpha):
-        trace_val, S, iters, ok = _kappa_core(X, pmap.apply, cfg)
-        value = math.log2(trace_val)
+        return _kappa_measure(rho, X, apply_map, lower, cfg)
+    if alpha == 1:
+        result = MeasureResult(lower, 1.0, interior_point(rho.dims), 0, True, (lower, math.inf))
+    else:
+        value, point, iters, ok = _pg_core(X, apply_map, rho.dims.total, alpha, cfg)
         result = MeasureResult(
-            value_bits=value,
-            alpha=alpha,
-            certificate_sigma=BipartiteState(rho.dims, herm_part(S) / np.trace(S).real),
-            iterations=iters,
-            converged=ok,
-            bracket=(lower, value),
+            value, alpha, BipartiteState(rho.dims, point), iters, ok, (lower, math.inf)
         )
         if not ok:
-            raise NotConvergedError("barrier method exhausted its stage budget", result=result)
-        return result
-
-    if alpha == 1:
-        D = rho.dims.total
-        return MeasureResult(
-            value_bits=lower,
-            alpha=1.0,
-            certificate_sigma=BipartiteState(rho.dims, np.eye(D, dtype=complex) / D),
-            iterations=0,
-            converged=True,
-            bracket=(lower, _upper_bracket(X, pmap, cfg)),
-        )
-
-    value, point, iters, ok = _pg_core(X, pmap.apply, rho.dims.total, alpha, cfg)
-    result = MeasureResult(
-        value_bits=value,
-        alpha=alpha,
-        certificate_sigma=BipartiteState(rho.dims, point),
-        iterations=iters,
-        converged=ok,
-        bracket=(lower, _upper_bracket(X, pmap, cfg)),
-    )
-    if not ok:
-        result.diagnostic = "projected gradient exhausted max_iter"
-        raise NotConvergedError(result.diagnostic, result=result)
-    lo, hi = result.bracket
-    if not (lo - cfg.value_tol <= result.value_bits <= hi + cfg.value_tol):
-        result.converged = False
-        result.diagnostic = (
-            f"value {result.value_bits:.6f} escapes bracket [{lo:.6f}, {hi:.6f}]"
-        )
+            result.diagnostic = "projected gradient exhausted max_iter"
+            raise NotConvergedError(result.diagnostic, result=result)
+    audit(result)
     return result
 
 
-def _upper_bracket(X: np.ndarray, pmap: PositiveMapSpec, cfg: SolverConfig) -> float:
-    if not cfg.with_bracket:
-        return math.inf
-    trace_val, _, _, ok = _kappa_core(X, pmap.apply, cfg)
-    return math.log2(trace_val) if ok else math.inf
+def _kappa_measure(
+    rho: BipartiteState,
+    X: np.ndarray,
+    apply_map: Callable[[np.ndarray], np.ndarray],
+    lower: float,
+    cfg: SolverConfig,
+) -> MeasureResult:
+    """Order-infinity value from the barrier SDP, audited against ``lower``."""
+    trace_val, S, iters, ok = _kappa_core(X, apply_map, cfg)
+    value = math.log2(trace_val)
+    S = herm_part(S)
+    result = MeasureResult(
+        value_bits=value,
+        alpha=math.inf,
+        certificate_sigma=BipartiteState(rho.dims, S / np.trace(S).real),
+        iterations=iters,
+        converged=ok,
+        bracket=(lower, value),
+    )
+    if ok and value < lower - cfg.value_tol:
+        result.converged = False
+        result.diagnostic = (
+            f"SDP value {value:.6f} fell below the closed-form lower endpoint {lower:.6f}"
+        )
+    if not ok:
+        raise NotConvergedError("barrier method exhausted its stage budget", result=result)
+    return result
 
 
-def _mapped_choi(element, pmap: PositiveMapSpec) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) (P . N . P)(|i><j|), reference first.
+def _audit(
+    rho: BipartiteState,
+    result: MeasureResult,
+    apply_map: Callable[[np.ndarray], np.ndarray],
+    lower: float,
+    cfg: SolverConfig,
+) -> tuple[float, float]:
+    """Fill in the [order-1, order-infinity] bracket and audit the value.
 
-    P is verified only on Hermitian inputs, so it is applied to the Hermitian
-    basis E_ii, H1 = E_ij + E_ji, H2 = i(E_ij - E_ji) (i < j) alone.  The
-    image of E_ij is then (M(H1) - i M(H2)) / 2, the unique complex-linear
-    extension of the Hermiticity-preserving map M = P . N . P.
+    The SDP upper endpoint is solved, on P(rho), only when the config asks
+    for it; the closed-form lower endpoint is always checked.
     """
-    D = pmap.dim
-    J = np.zeros((D, D, D, D), dtype=complex)
-
-    def m(x):
-        return pmap.apply(element.apply(pmap.apply(x)))
-
-    def unit(i, j):
-        e = np.zeros((D, D), dtype=complex)
-        e[i, j] = 1.0
-        return e
-
-    for i in range(D):
-        J[i, :, i, :] = m(unit(i, i))
-        for j in range(i + 1, D):
-            m1 = m(unit(i, j) + unit(j, i))
-            m2 = m(1j * (unit(i, j) - unit(j, i)))
-            J[i, :, j, :] = (m1 - 1j * m2) / 2
-            J[j, :, i, :] = (m1 + 1j * m2) / 2
-    return J.reshape(D * D, D * D)
+    if math.isinf(result.alpha):
+        upper = result.value_bits
+    elif cfg.with_bracket:
+        X = herm_part(apply_map(rho.matrix))
+        trace_val, _, _, ok = _kappa_core(X, apply_map, cfg)
+        upper = math.log2(trace_val) if ok else math.inf
+    else:
+        upper = math.inf
+    result.bracket = (lower, upper)
+    if result.converged and not (
+        lower - cfg.value_tol <= result.value_bits <= upper + cfg.value_tol
+    ):
+        result.converged = False
+        result.diagnostic = (
+            f"value {result.value_bits:.6f} escapes bracket "
+            f"[{lower:.6f}, {upper:.6f}] beyond value_tol {cfg.value_tol:g}"
+        )
+    return lower, upper
 
 
 def _check_free_operation(instr, pmap: PositiveMapSpec, tol: float = 1e-9) -> None:
@@ -252,11 +275,10 @@ def _check_free_operation(instr, pmap: PositiveMapSpec, tol: float = 1e-9) -> No
     instrument maps free states to free states.  For P = T_B this is the
     completely-PPT-preserving condition.
     """
-    from .channels import choi_of
-
     for idx, el in enumerate(instr.elements):
         scale = max(1.0, op_norm(choi_of(el)))
-        lam = float(np.linalg.eigvalsh(herm_part(_mapped_choi(el, pmap)))[0])
+        J = _conjugated_choi(el.apply, pmap.apply, pmap.apply, pmap.dim)
+        lam = float(np.linalg.eigvalsh(herm_part(J))[0])
         if lam < -tol * scale:
             raise CommutationFailedError(
                 f"instrument element {idx}: P . N . P is not completely positive "
@@ -272,8 +294,6 @@ def free_instrument_monotonicity_check(
     The instrument is free when P . N . P is completely positive for each
     element N; otherwise CommutationFailedError is raised.
     """
-    from .channels import instrument_outcomes
-
     _require_dim(pmap, instr.dims_in.total, "instrument input")
     _require_dim(pmap, instr.dims_out.total, "instrument output")
     _check_free_operation(instr, pmap)
@@ -294,13 +314,9 @@ def r_alpha_channel(
     """Largest resourcefulness over input states, by derivative-free search
     over square-root parametrizations of the input density matrix."""
     _require_solver_grade(pmap)
-    din = channel.dim_in
-    if din > 4:
-        raise ValueError("channel search is desk-scale, input dimension must be <= 4")
     _require_dim(pmap, channel.dim_out, "channel output")
+    din = channel.dim_in
     out_dims = channel.bipartition_out or BipartitionDims(1, channel.dim_out)
-    from dataclasses import replace
-
     inner_cfg = replace(cfg, with_bracket=False)
     n = din * din
 
@@ -310,36 +326,11 @@ def r_alpha_channel(
         tr = float(np.trace(gram).real)
         if tr < 1e-12:
             return 1e6
-        if hasattr(channel, "kraus_ops"):
-            img = sum(k @ (gram / tr) @ k.conj().T for k in channel.kraus_ops)
-        else:
-            img = channel.apply(gram / tr)
-        state = BipartiteState(out_dims, herm_part(img))
+        state = BipartiteState(out_dims, herm_part(channel.apply(gram / tr)))
         try:
             return -r_alpha(state, pmap, alpha, inner_cfg).value_bits
         except NotConvergedError as exc:
             return -exc.result.value_bits if exc.result else 1e6
 
-    rng = np.random.default_rng(cfg.seed)
-    bests = []
-    for restart in range(max(1, cfg.restarts)):
-        x0 = (
-            np.concatenate([np.eye(din).reshape(-1), np.zeros(n)])
-            if restart == 0
-            else rng.standard_normal(2 * n)
-        )
-        res = optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": 300 * n, "xatol": 1e-5, "fatol": 1e-7},
-        )
-        bests.append(-res.fun)
-    value = max(bests)
-    if with_details:
-        return value, {
-            "restart_values": bests,
-            "dispersion": value - min(bests),
-            "dispersion_flag": value - min(bests) > cfg.value_tol,
-        }
-    return value
+    first = np.concatenate([np.eye(din).reshape(-1), np.zeros(n)])
+    return _multistart_search(objective, din, first, cfg, with_details)

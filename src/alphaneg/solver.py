@@ -1,22 +1,26 @@
-"""Measure computations over the PPT set.
+"""Solver cores and the partial-transpose entry points of the measure.
 
 Three routes, one value scale (bits, log base 2):
 
 * order 1 is closed form: log2 of the trace norm of the partial transpose;
-* orders strictly between 1 and infinity run projected gradient descent on
-  the convex objective f(sigma) = ||sigma^p X sigma^p||_alpha^alpha with
-  p = (1-alpha)/(2 alpha) and X the partial transpose of the input state,
+* orders strictly between 1 and infinity run projected gradient descent
+  (``_pg_core``) on the convex objective f(sigma) = ||sigma^p X sigma^p||_alpha^alpha
+  with p = (1-alpha)/(2 alpha) and X the partial transpose of the input state,
   keeping iterates inside the PPT set by Dykstra projection and inside the
   faithful interior by a decaying mixing schedule with the maximally mixed
   state.  The reported value is (1/alpha) log2 of the best objective seen,
   which is always a rigorous upper bound because every evaluation point is a
   genuine interior PPT state;
-* order infinity is a semidefinite program, min Tr[S] subject to
-  T_B(S) - T_B(rho) >= 0, T_B(S) + T_B(rho) >= 0, S >= 0, solved by a
-  self-contained log-det barrier method with damped Newton centering.
+* order infinity is a semidefinite program (``_kappa_core``), min Tr[S]
+  subject to T_B(S) - T_B(rho) >= 0, T_B(S) + T_B(rho) >= 0, S >= 0, solved
+  by a self-contained log-det barrier method with damped Newton centering.
 
-Each result carries the sanity bracket [closed-form lower endpoint, SDP upper
-endpoint]; a converged value must sit inside it up to ``value_tol``.
+Both cores take the map as a callable, so they serve any positive map.  The
+branching between the routes, the PPT short-circuit and the bracket audit
+live in one engine, ``resource._measure``: ``e_alpha``, ``e_kappa`` and
+``bracket`` here are its entries for the partial transpose T_B.  Each result
+carries the sanity bracket [closed-form lower endpoint, SDP upper endpoint];
+a converged value must sit inside it up to ``value_tol``.
 
 The optimizer state sigma* = |X| / ||X||_1 is feasible exactly when the
 partial transpose of |X| is PSD, and in that case it is optimal for every
@@ -36,7 +40,6 @@ import numpy as np
 
 from .divergence import check_alpha, log_negativity
 from .errors import (
-    InvalidStateError,
     NotConvergedError,
     NotPositiveDefiniteError,
     ZeroOperatorError,
@@ -49,8 +52,8 @@ from .linalg import (
     op_norm,
     partial_transpose,
 )
-from .pptgeom import DykstraConfig, project_free_set, regularize
-from .states import BipartiteState, as_state, ppt_membership
+from .pptgeom import DykstraConfig, project_free_set
+from .states import BipartiteState, as_state
 
 LN2 = math.log(2.0)
 
@@ -482,49 +485,17 @@ def _kappa_core(
 # public measures
 
 
-def _as_certificate(matrix: np.ndarray, dims: BipartitionDims) -> BipartiteState:
-    m = herm_part(matrix)
-    m = m / np.trace(m).real
-    return BipartiteState(dims, m)
+def _pt(dims: BipartitionDims) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda m: partial_transpose(m, dims, "B")
 
 
 def e_kappa(rho, cfg: SolverConfig = DEFAULT_CONFIG) -> MeasureResult:
     """Order-infinity endpoint via the semidefinite program."""
+    from .resource import _kappa_measure
+
     rho = as_state(rho)
     X = partial_transpose(rho.matrix, rho.dims, "B")
-    trace_val, S, iters, ok = _kappa_core(X, lambda m: partial_transpose(m, rho.dims, "B"), cfg)
-    value = math.log2(trace_val)
-    lower = log_negativity(rho)
-    result = MeasureResult(
-        value_bits=value,
-        alpha=math.inf,
-        certificate_sigma=_as_certificate(S, rho.dims),
-        iterations=iters,
-        converged=ok,
-        bracket=(lower, value),
-    )
-    if ok and value < lower - cfg.value_tol:
-        result.converged = False
-        result.diagnostic = (
-            f"SDP value {value:.6f} fell below the closed-form lower endpoint {lower:.6f}"
-        )
-    if not ok:
-        raise NotConvergedError("barrier method exhausted its stage budget", result=result)
-    return result
-
-
-def _ppt_shortcircuit(rho: BipartiteState, alpha: float, cfg: SolverConfig) -> MeasureResult:
-    pt_state = BipartiteState(rho.dims, partial_transpose(rho.matrix, rho.dims, "B"))
-    cert = regularize(pt_state, cfg.eps_schedule.floor)
-    return MeasureResult(
-        value_bits=0.0,
-        alpha=alpha,
-        certificate_sigma=cert,
-        iterations=0,
-        converged=True,
-        bracket=(0.0, 0.0),
-        diagnostic="input is PPT; measure vanishes identically",
-    )
+    return _kappa_measure(rho, X, _pt(rho.dims), log_negativity(rho), cfg)
 
 
 def e_alpha(rho, alpha: float, cfg: SolverConfig = DEFAULT_CONFIG) -> MeasureResult:
@@ -533,44 +504,15 @@ def e_alpha(rho, alpha: float, cfg: SolverConfig = DEFAULT_CONFIG) -> MeasureRes
     Closed form at order 1, projected gradient for finite orders above 1, the
     SDP at order infinity.  PPT inputs short-circuit to exactly zero.
     """
+    from .resource import _measure
+
     alpha = check_alpha(alpha)
     rho = as_state(rho)
-    if ppt_membership(rho):
-        return _ppt_shortcircuit(rho, alpha, cfg)
-    if math.isinf(alpha):
-        return e_kappa(rho, cfg)
-
-    lower = log_negativity(rho)
-    if alpha == 1:
-        from .pptgeom import interior_point
-
-        result = MeasureResult(
-            value_bits=lower,
-            alpha=1.0,
-            certificate_sigma=interior_point(rho.dims),
-            iterations=0,
-            converged=True,
-            bracket=(lower, math.inf),
-        )
-    else:
-        X = partial_transpose(rho.matrix, rho.dims, "B")
-        value, point, iters, ok = _pg_core(
-            X, lambda m: partial_transpose(m, rho.dims, "B"), rho.dims.total, alpha, cfg
-        )
-        result = MeasureResult(
-            value_bits=value,
-            alpha=alpha,
-            certificate_sigma=BipartiteState(rho.dims, point),
-            iterations=iters,
-            converged=ok,
-            bracket=(lower, math.inf),
-        )
-        if not ok:
-            result.diagnostic = "projected gradient exhausted max_iter"
-            raise NotConvergedError(result.diagnostic, result=result)
-
-    bracket(rho, result, cfg)
-    return result
+    X = partial_transpose(rho.matrix, rho.dims, "B")
+    return _measure(
+        rho, X, _pt(rho.dims), log_negativity(rho), alpha, cfg,
+        lambda result: bracket(rho, result, cfg),
+    )
 
 
 def bracket(rho, result: MeasureResult, cfg: SolverConfig = DEFAULT_CONFIG) -> tuple[float, float]:
@@ -579,28 +521,10 @@ def bracket(rho, result: MeasureResult, cfg: SolverConfig = DEFAULT_CONFIG) -> t
     The SDP upper endpoint is computed only when the config asks for it; the
     closed-form lower endpoint is always checked.
     """
+    from .resource import _audit
+
     rho = as_state(rho)
-    lower = log_negativity(rho)
-    if math.isinf(result.alpha):
-        upper = result.value_bits
-    elif cfg.with_bracket:
-        X = partial_transpose(rho.matrix, rho.dims, "B")
-        trace_val, _, _, ok = _kappa_core(
-            X, lambda m: partial_transpose(m, rho.dims, "B"), cfg
-        )
-        upper = math.log2(trace_val) if ok else math.inf
-    else:
-        upper = math.inf
-    result.bracket = (lower, upper)
-    if result.converged and not (
-        lower - cfg.value_tol <= result.value_bits <= upper + cfg.value_tol
-    ):
-        result.converged = False
-        result.diagnostic = (
-            f"value {result.value_bits:.6f} escapes bracket "
-            f"[{lower:.6f}, {upper:.6f}] beyond value_tol {cfg.value_tol:g}"
-        )
-    return lower, upper
+    return _audit(rho, result, _pt(rho.dims), log_negativity(rho), cfg)
 
 
 def alpha_sweep(rho, alphas: Sequence[float], cfg: SolverConfig = DEFAULT_CONFIG) -> list[MeasureResult]:

@@ -2,9 +2,9 @@
 
 State JSON format (shared with the CLI): an object with "dims": [dA, dB] and
 "matrix": D rows of D entries, each entry a [re, im] pair, row-major in the
-composite index a * dB + b.  Parsers reject non-Hermitian, non-unit-trace or
-negative-spectrum inputs unless ``raw=True`` admits arbitrary Hermitian
-operators.
+composite index a * dB + b.  Parsers reject non-finite entries, and
+non-Hermitian, non-unit-trace or negative-spectrum inputs unless ``raw=True``
+admits arbitrary Hermitian operators.
 """
 
 from __future__ import annotations
@@ -256,7 +256,11 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
 
 
 def _pairs_to_matrix(rows: list) -> np.ndarray:
-    return np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex)
+    """Matrix from rows of [re, im] pairs; ValueError on a non-finite entry."""
+    m = np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return m
 
 
 def state_to_json(state: BipartiteState) -> dict:

@@ -9,6 +9,7 @@ from alphaneg.channels import (
     Instrument,
     KrausChannel,
     SuperOperator,
+    _conjugated_choi,
     bosonic_value,
     channel_e_alpha,
     channel_from_json,
@@ -26,7 +27,7 @@ from alphaneg.channels import (
     werner_holevo_value,
 )
 from alphaneg.errors import NotCpptpError, OutOfDomainError
-from alphaneg.linalg import BipartitionDims, tensor
+from alphaneg.linalg import BipartitionDims, partial_transpose, subsystem_transpose, tensor
 from alphaneg.solver import DEFAULT_CONFIG
 from alphaneg.states import max_entangled, ppt_membership, random_state, swap_operator, werner_state
 
@@ -112,6 +113,27 @@ class TestIsCpptp:
         ch = random_kraus_channel(4, 4, 2, seed=4)
         with pytest.raises(ValueError):
             is_cpptp(ch)
+
+    def test_input_and_output_bipartitions_may_differ(self):
+        # an isometry 2 -> 3 on B embeds 2x2 into 2x3; after CNOT it acts across the cut
+        dims_out = BipartitionDims(2, 3)
+        rng = np.random.default_rng(21)
+        v, _ = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+        local = KrausChannel((np.kron(np.eye(2), v),), 4, 6, DIMS22, dims_out)
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        across = KrausChannel((np.kron(np.eye(2), v) @ cnot,), 4, 6, DIMS22, dims_out)
+        assert is_cpptp(local)
+        assert not is_cpptp(across)
+        for ch in (local, across):
+            # the partial transposes of the Choi matrix on B_in and B_out
+            expected = subsystem_transpose(choi_of(ch), (2, 2, 2, 3), (1, 3))
+            got = _conjugated_choi(
+                ch.apply,
+                lambda m: partial_transpose(m, DIMS22),
+                lambda m: partial_transpose(m, dims_out),
+                4,
+            )
+            np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 class TestInstruments:
@@ -327,3 +349,24 @@ class TestChannelJson:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             channel_from_json({"kind": "mystery", "dims_in": [2], "dims_out": [2], "data": []})
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+    @pytest.mark.parametrize("kind", ["kraus", "superop"])
+    def test_rejects_non_finite_entries(self, kind, bad, tmp_path):
+        from alphaneg.cli import EXIT_INVALID, main
+
+        # the 4x4 identity: a Kraus operator on C^4, or the superoperator on C^2
+        data = [[[float(e), 0.0] for e in row] for row in np.eye(4)]
+        data[0][0] = list(bad)
+        dims = [4] if kind == "kraus" else [2]
+        payload = {
+            "kind": kind,
+            "dims_in": dims,
+            "dims_out": dims,
+            "data": [data] if kind == "kraus" else data,
+        }
+        with pytest.raises(ValueError, match="malformed channel JSON"):
+            channel_from_json(payload)
+        path = tmp_path / "chan.json"
+        path.write_text(json.dumps(payload))
+        assert main(["channel", str(path)]) == EXIT_INVALID

@@ -32,6 +32,17 @@ PT22 = builtin_map("partial_transpose", DIMS22)
 CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 
 
+def _fingerprint(result):
+    """Everything a measure result reports, floats as exact hex strings."""
+    return (
+        result.value_bits.hex(),
+        tuple(b.hex() for b in result.bracket),
+        result.iterations,
+        result.converged,
+        result.diagnostic,
+    )
+
+
 class TestPositiveMapSpec:
     def test_builtin_partial_transpose_verifies(self):
         assert PT22.hs_involution and PT22.trace_preserving
@@ -78,20 +89,22 @@ class TestFreeMembership:
 
 class TestRAlpha:
     def test_reduction_to_entanglement_measure(self):
-        for seed in range(10):
-            rho = random_state(DIMS22, (seed % 4) + 1, seed)
-            for alpha in (1.0, 2.0):
+        states = [random_state(DIMS22, (seed % 4) + 1, seed) for seed in range(10)]
+        states.append(werner_state(2, 0.4))  # PPT
+        for rho in states:
+            for alpha in (1.0, 1.5, 2.0, math.inf):
                 r_res = r_alpha(rho, PT22, alpha, FAST)
                 r_ent = e_alpha(rho, alpha, FAST)
-                assert abs(r_res.value_bits - r_ent.value_bits) < 1e-6
+                assert _fingerprint(r_res) == _fingerprint(r_ent)
 
     def test_reduction_at_order_inf(self):
         rho = random_state(DIMS22, 2, seed=101)
         if ppt_membership(rho):
             pytest.skip("seeded state happens to be PPT")
-        r_res = r_alpha(rho, PT22, math.inf, FAST)
-        r_ent = e_alpha(rho, math.inf, FAST)
-        assert abs(r_res.value_bits - r_ent.value_bits) < 1e-6
+        for state in (rho, werner_state(2, 0.4)):
+            r_res = r_alpha(state, PT22, math.inf, FAST)
+            r_ent = e_alpha(state, math.inf, FAST)
+            assert _fingerprint(r_res) == _fingerprint(r_ent)
 
     def test_free_state_gives_zero_with_mapped_certificate(self):
         rho = werner_state(2, 0.4)

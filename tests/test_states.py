@@ -241,6 +241,16 @@ class TestStateJson:
         with pytest.raises(InvalidStateError):
             state_from_json({"dims": [2, 2]})
 
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_rejects_non_finite_entries(self, bad, raw, tmp_path):
+        payload = state_to_json(max_entangled(2))
+        payload["matrix"][1][2] = list(bad)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidStateError, match="malformed state JSON"):
+            load_state(path, raw=raw)
+
     def test_json_fields(self):
         payload = state_to_json(max_entangled(2))
         assert payload["dims"] == [2, 2]
