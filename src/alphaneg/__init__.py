@@ -28,18 +28,16 @@ from .errors import (
 )
 from .linalg import (
     BipartitionDims,
-    HermitianEig,
     hermitian_eig,
     matrix_power_support,
     partial_trace,
     partial_transpose,
-    power_gradient,
     psd_project,
     schatten_norm,
     support_leq,
     tensor,
 )
-from .pptgeom import DykstraConfig, interior_point, is_ppt_inv, project_ppt, regularize
+from .pptgeom import DykstraConfig, interior_point, project_ppt, regularize
 from .solver import (
     MeasureResult,
     SolverConfig,
@@ -74,7 +72,6 @@ from .channels import (
     instrument_outcomes,
     is_cpptp,
     load_channel,
-    monotonicity_check,
     werner_holevo_channel,
     werner_holevo_value,
 )

@@ -37,22 +37,19 @@ from .linalg import (
     partial_trace,
     partial_transpose,
 )
-from .states import BipartiteState, _pairs_to_matrix, swap_operator
+from .states import BipartiteState, _pairs_to_matrix, _positive_ints, swap_operator
 
 _PROB_CUTOFF = 1e-8
 
 
 def _parse_dims(spec) -> tuple[int, BipartitionDims | None]:
-    """Total dimension plus the declared bipartition, if any."""
-    if isinstance(spec, BipartitionDims):
-        return spec.total, spec
-    if isinstance(spec, int):
-        return spec, None
-    dims = list(spec)
+    """Total dimension plus the declared bipartition, if any, from a JSON
+    dims entry: a positive int or a list of one or two of them."""
+    dims = _positive_ints([spec] if isinstance(spec, int) else spec)
     if len(dims) == 1:
-        return int(dims[0]), None
+        return dims[0], None
     if len(dims) == 2:
-        bp = BipartitionDims(int(dims[0]), int(dims[1]))
+        bp = BipartitionDims(*dims)
         return bp.total, bp
     raise ValueError(f"dims must have one or two entries, got {dims}")
 
@@ -267,23 +264,6 @@ def instrument_outcomes(instr: Instrument, rho) -> list[tuple[float, BipartiteSt
     return out
 
 
-def monotonicity_check(instr: Instrument, rho, alpha: float, cfg=None) -> tuple[float, float, float]:
-    """Average measure after a PPT-preserving instrument never exceeds the input.
-
-    Returns (input value, average output value, slack = input - average).
-    """
-    from .solver import DEFAULT_CONFIG, e_alpha
-
-    cfg = cfg or DEFAULT_CONFIG
-    if not is_cpptp_instrument(instr):
-        raise NotCpptpError("instrument fails the PPT-preserving hypothesis")
-    lhs = e_alpha(rho, alpha, cfg).value_bits
-    rhs = 0.0
-    for p, post in instrument_outcomes(instr, rho):
-        rhs += p * e_alpha(post, alpha, cfg).value_bits
-    return lhs, rhs, lhs - rhs
-
-
 # ---------------------------------------------------------------------------
 # channel-level measure
 
@@ -485,6 +465,8 @@ def random_local_instrument(
 
 
 def channel_from_json(payload: dict) -> Channel:
+    """Parse the channel JSON object; every malformed payload raises
+    ValueError("malformed channel JSON: ...")."""
     try:
         kind = payload["kind"]
         din, bin_ = _parse_dims(payload["dims_in"])
@@ -492,15 +474,12 @@ def channel_from_json(payload: dict) -> Channel:
         data = payload["data"]
         if kind == "kraus":
             ops = tuple(_pairs_to_matrix(m) for m in data)
-        elif kind == "superop":
-            matrix = _pairs_to_matrix(data)
-    except (KeyError, TypeError, ValueError) as exc:
+            return KrausChannel(ops, din, dout, bin_, bout)
+        if kind == "superop":
+            return SuperOperator(_pairs_to_matrix(data), din, dout, bin_, bout)
+        raise ValueError(f"unknown channel kind {kind!r}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed channel JSON: {exc}") from exc
-    if kind == "kraus":
-        return KrausChannel(ops, din, dout, bin_, bout)
-    if kind == "superop":
-        return SuperOperator(matrix, din, dout, bin_, bout)
-    raise ValueError(f"unknown channel kind {kind!r}")
 
 
 def load_channel(path) -> Channel:

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedMapError,
 )
 from .channels import bosonic_value, channel_e_alpha, load_channel, werner_holevo_value
-from .pptgeom import DykstraConfig, project_ppt
+from .pptgeom import project_ppt
 from .resource import r_alpha, resolve_map
 from .solver import SolverConfig, alpha_sweep, audit_monotonicity, e_alpha, e_kappa
 from .states import (
@@ -50,6 +50,9 @@ EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_UNCONVERGED = 3
 EXIT_UNSUPPORTED = 4
+
+# Reading a state file: ValueError covers a file that is not UTF-8 JSON.
+_STATE_FILE_ERRORS = (InvalidStateError, OSError, ValueError)
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -84,6 +87,23 @@ def _parse_alpha(text: str) -> float:
     return float(text)
 
 
+def _sweep_orders(args) -> list[float]:
+    """Ascending orders from ``--alphas`` (sorted) or ``--grid lo:hi:n``;
+    ValueError when the list is malformed, the grid descends or is empty."""
+    if args.alphas:
+        return sorted(_parse_alpha(a) for a in args.alphas.split(","))
+    if not args.grid:
+        raise ValueError("one of --alphas or --grid is required")
+    try:
+        lo, hi, n = args.grid.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError as exc:
+        raise ValueError(f"bad grid spec {args.grid!r}, expected lo:hi:n ({exc})") from exc
+    if not (lo <= hi and n >= 1):
+        raise ValueError(f"grid {args.grid!r} needs lo <= hi and n >= 1")
+    return list(np.linspace(lo, hi, n))
+
+
 def _write_manifest(out_path: Path, args, started: float, extra: dict | None = None) -> None:
     manifest = {
         "command": " ".join(sys.argv),
@@ -116,7 +136,7 @@ def cmd_compute(args) -> int:
     cfg = _config_from_args(args)
     try:
         state = load_state(args.state)
-    except (InvalidStateError, OSError, json.JSONDecodeError) as exc:
+    except _STATE_FILE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
@@ -142,7 +162,7 @@ def cmd_kappa(args) -> int:
     cfg = _config_from_args(args)
     try:
         state = load_state(args.state)
-    except (InvalidStateError, OSError, json.JSONDecodeError) as exc:
+    except _STATE_FILE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
@@ -160,20 +180,9 @@ def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     try:
         state = load_state(args.state)
-    except (InvalidStateError, OSError, json.JSONDecodeError) as exc:
+        alphas = _sweep_orders(args)
+    except _STATE_FILE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    if args.alphas:
-        alphas = sorted(_parse_alpha(a) for a in args.alphas.split(","))
-    elif args.grid:
-        try:
-            lo, hi, n = args.grid.split(":")
-            alphas = list(np.linspace(float(lo), float(hi), int(n)))
-        except ValueError as exc:
-            print(f"error: bad grid spec {args.grid!r}: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-    else:
-        print("error: one of --alphas or --grid is required", file=sys.stderr)
         return EXIT_INVALID
 
     results = alpha_sweep(state, alphas, cfg)
@@ -211,7 +220,7 @@ def cmd_sweep(args) -> int:
 def cmd_project(args) -> int:
     try:
         loaded = load_state(args.state, raw=args.raw)
-    except (InvalidStateError, OSError, json.JSONDecodeError) as exc:
+    except _STATE_FILE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.raw:
@@ -219,7 +228,7 @@ def cmd_project(args) -> int:
     else:
         dims, matrix = loaded.dims, loaded.matrix
     try:
-        projected = project_ppt(matrix, dims, DykstraConfig())
+        projected = project_ppt(matrix, dims)
     except NotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNCONVERGED
@@ -255,7 +264,7 @@ def cmd_channel(args) -> int:
     except OutOfDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     value, details = channel_e_alpha(channel, args.alpha, cfg, with_details=True)
@@ -396,23 +405,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_alpha=False):
-        p.add_argument("--seed", type=int, default=None, help="solver seed")
+    def common(p, with_alpha=False, seed=True, max_iter=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="solver seed")
         p.add_argument("--tol", type=float, default=None, help="value tolerance in bits")
-        p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
+        if max_iter:
+            p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
         p.add_argument("--precision", type=int, default=6, help="printed decimal places")
         if with_alpha:
             p.add_argument("--alpha", type=_parse_alpha, default=2.0, help="order in [1, inf]")
 
     p = sub.add_parser("compute", help="measure value of a state file")
     p.add_argument("state", type=Path)
-    common(p, with_alpha=True)
+    common(p, with_alpha=True, seed=False)
     p.add_argument("--map", default=None, help="positive map name (default: partial transpose)")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("kappa", help="semidefinite max endpoint of a state file")
     p.add_argument("state", type=Path)
-    common(p)
+    common(p, seed=False, max_iter=False)
     p.set_defaults(func=cmd_kappa)
 
     p = sub.add_parser("sweep", help="values over a grid of orders, to CSV")
@@ -425,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="nearest PPT state to a (possibly raw) operator file")
     p.add_argument("state", type=Path)
-    common(p)
     p.add_argument("--raw", action="store_true", help="accept any Hermitian operator")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_project)

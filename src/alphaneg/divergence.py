@@ -106,10 +106,10 @@ def sandwiched_renyi(X: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
 def gamma_conjugate(X: np.ndarray, sigma: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Conjugation sigma^(1/2) X sigma^(1/2), or its inverse for PD sigma."""
     X = check_hermitian(X)
-    eig = hermitian_eig(sigma)
-    if float(eig.eigenvalues[0]) <= 0:
+    w, v = hermitian_eig(sigma)
+    if float(w[0]) <= 0:
         raise NotPositiveDefiniteError("conjugation base must be positive definite")
-    half = (eig.eigenvectors * eig.eigenvalues ** (-0.5 if inverse else 0.5)) @ eig.eigenvectors.conj().T
+    half = (v * w ** (-0.5 if inverse else 0.5)) @ v.conj().T
     return herm_part(half @ X @ half)
 
 
@@ -121,13 +121,12 @@ def weighted_norm(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
     if p < 1:
         raise AlphaOutOfRangeError(f"norm order must be >= 1, got {p}")
     X = check_hermitian(X)
-    eig = hermitian_eig(sigma)
-    if float(eig.eigenvalues[0]) <= 0:
+    w, v = hermitian_eig(sigma)
+    if float(w[0]) <= 0:
         raise NotPositiveDefiniteError("weighted norm base must be positive definite")
     if math.isinf(p):
         return op_norm(X)
-    w = eig.eigenvalues ** (1.0 / (2 * p))
-    half = (eig.eigenvectors * w) @ eig.eigenvectors.conj().T
+    half = (v * w ** (1.0 / (2 * p))) @ v.conj().T
     return schatten_norm(half @ X @ half, p)
 
 
@@ -152,8 +151,8 @@ def binegativity_psd(rho, tol: float = 1e-9) -> bool:
 
     rho = as_state(rho)
     pt = partial_transpose(rho.matrix, rho.dims, "B")
-    eig = hermitian_eig(pt)
-    absolute = (eig.eigenvectors * np.abs(eig.eigenvalues)) @ eig.eigenvectors.conj().T
+    w, v = hermitian_eig(pt)
+    absolute = (v * np.abs(w)) @ v.conj().T
     back = partial_transpose(herm_part(absolute), rho.dims, "B")
     return float(np.linalg.eigvalsh(back)[0]) >= -tol
 

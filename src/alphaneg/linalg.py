@@ -22,7 +22,6 @@ from .errors import (
     AlphaOutOfRangeError,
     NegativeSpectrumError,
     NonHermitianError,
-    NotPositiveDefiniteError,
 )
 
 SUPPORT_TOL = 1e-10
@@ -43,18 +42,6 @@ class BipartitionDims:
     @property
     def total(self) -> int:
         return self.dA * self.dB
-
-
-@dataclass(frozen=True)
-class HermitianEig:
-    """Ascending eigenvalues and the unitary whose columns are eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def herm_part(M: np.ndarray) -> np.ndarray:
@@ -147,15 +134,15 @@ def partial_trace(M: np.ndarray, dims: BipartitionDims, subsystem: str = "B") ->
     raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
 
 
-def hermitian_eig(H: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianEig:
-    """Eigendecomposition of a (tolerantly) Hermitian matrix.
+def hermitian_eig(H: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of a (tolerantly) Hermitian matrix, as
+    ``numpy.linalg.eigh`` returns it: ascending eigenvalues and the unitary
+    whose columns are the eigenvectors.
 
     The input is symmetrized before the decomposition, so the reconstruction
     matches the symmetrized matrix to solver precision.
     """
-    H = check_hermitian(H, tol)
-    w, v = np.linalg.eigh(H)
-    return HermitianEig(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh(check_hermitian(H, tol))
 
 
 def schatten_norm(M: np.ndarray, alpha: float) -> float:
@@ -183,9 +170,8 @@ def _support_cut(w: np.ndarray, tol: float) -> np.ndarray:
 
 def support_projector(H: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
     """Orthogonal projector onto the support of a Hermitian matrix."""
-    eig = hermitian_eig(H)
-    mask = _support_cut(eig.eigenvalues, tol)
-    v = eig.eigenvectors[:, mask]
+    w, v = hermitian_eig(H)
+    v = v[:, _support_cut(w, tol)]
     return v @ v.conj().T
 
 
@@ -195,8 +181,7 @@ def matrix_power_support(H: np.ndarray, p: float, tol: float = SUPPORT_TOL) -> n
     Eigenvalues at or below ``tol * lambda_max`` map to zero; the rest map to
     lambda^p (negative p gives the generalized inverse power).
     """
-    eig = hermitian_eig(H)
-    w = eig.eigenvalues
+    w, v = hermitian_eig(H)
     lam_max = float(np.max(np.abs(w))) if w.size else 0.0
     if w.size and float(w[0]) < -tol * lam_max:
         raise NegativeSpectrumError(
@@ -205,7 +190,6 @@ def matrix_power_support(H: np.ndarray, p: float, tol: float = SUPPORT_TOL) -> n
     mask = _support_cut(w, tol)
     powered = np.zeros_like(w)
     powered[mask] = np.clip(w[mask], 0.0, None) ** p if p >= 0 else w[mask] ** p
-    v = eig.eigenvectors
     return herm_part((v * powered) @ v.conj().T)
 
 
@@ -218,10 +202,8 @@ def support_leq(X: np.ndarray, sigma: np.ndarray, tol: float = SUPPORT_TOL) -> b
 
 def psd_project(H: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semi-definite matrix (eigenvalue clipping)."""
-    eig = hermitian_eig(H)
-    w = np.clip(eig.eigenvalues, 0.0, None)
-    v = eig.eigenvectors
-    return herm_part((v * w) @ v.conj().T)
+    w, v = hermitian_eig(H)
+    return herm_part((v * np.clip(w, 0.0, None)) @ v.conj().T)
 
 
 def _power_gradient_from_eig(
@@ -239,14 +221,3 @@ def _power_gradient_from_eig(
     table = np.where(near, p * mid ** (p - 1), (wp[:, None] - wp[None, :]) / np.where(near, 1.0, diff))
     wh = v.conj().T @ herm_part(weight) @ v
     return herm_part(v @ (table * wh) @ v.conj().T)
-
-
-def power_gradient(sigma: np.ndarray, p: float, direction_weight: np.ndarray) -> np.ndarray:
-    """Hermitian G with Tr[W d(sigma^p)[Delta]] = Tr[G Delta] for Hermitian Delta."""
-    eig = hermitian_eig(sigma)
-    if float(eig.eigenvalues[0]) <= 0:
-        raise NotPositiveDefiniteError(
-            f"matrix power gradient needs a positive definite base, "
-            f"min eigenvalue {eig.eigenvalues[0]:.3e}"
-        )
-    return _power_gradient_from_eig(eig.eigenvalues, eig.eigenvectors, p, direction_weight)

@@ -113,12 +113,3 @@ def regularize(sigma: BipartiteState, eps: float) -> BipartiteState:
     D = sigma.dims.total
     m = (1 - eps) * sigma.matrix + eps * np.eye(D) / D
     return BipartiteState(sigma.dims, m)
-
-
-def is_ppt_inv(sigma: BipartiteState, tol: float = 1e-8) -> bool:
-    """True iff sigma and its partial transpose are both strictly PD beyond tol."""
-    m = sigma.matrix
-    if float(np.linalg.eigvalsh(m)[0]) <= tol:
-        return False
-    pt = partial_transpose(m, sigma.dims, "B")
-    return float(np.linalg.eigvalsh(pt)[0]) > tol

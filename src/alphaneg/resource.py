@@ -13,7 +13,8 @@ The engine is sound exactly when P is a Hermiticity-preserving
 trace-preserving involution that is also a Frobenius isometry: then
 P . psd_project . P is an exact nearest-point map for the {P(sigma) >= 0}
 cone and P is self-adjoint and unital, which the interior-point start relies
-on.  Maps without those properties are rejected rather than approximated.
+on.  ``PositiveMapSpec`` verifies these properties when it is built, so
+maps without them are rejected rather than approximated.
 
 An instrument is free when P . N . P is completely positive for each element
 N: then N maps free states to free states, so the measure cannot increase on
@@ -47,7 +48,14 @@ from .linalg import (
     schatten_norm,
 )
 from .pptgeom import interior_point, regularize
-from .solver import DEFAULT_CONFIG, MeasureResult, SolverConfig, _kappa_core, _pg_core
+from .solver import (
+    _EPS_FLOOR,
+    DEFAULT_CONFIG,
+    MeasureResult,
+    SolverConfig,
+    _kappa_core,
+    _pg_core,
+)
 from .states import STATE_ATOL, BipartiteState, as_state
 
 _VERIFY_SAMPLES = 20
@@ -56,17 +64,15 @@ _VERIFY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PositiveMapSpec:
-    """A Hermiticity-preserving map with verified structural flags.
+    """A map the measure engine can use, verified at construction time.
 
-    The declared flags are checked on random Hermitian inputs at construction
-    time; a spec whose flags do not match its action is rejected outright.
+    On random Hermitian inputs the map must preserve Hermiticity and the
+    trace, and be an involution and a Frobenius isometry; a map that fails
+    any of these is rejected outright.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
     dim: int
-    hs_involution: bool = True
-    trace_preserving: bool = True
-    hermiticity_preserving: bool = True
     name: str = "custom"
 
     def __post_init__(self):
@@ -78,15 +84,14 @@ class PositiveMapSpec:
             x = herm_part(g)
             scale = max(1.0, frob_norm(x))
             y = self.apply(x)
-            if self.hermiticity_preserving and frob_norm(y - y.conj().T) > _VERIFY_TOL * scale:
+            if frob_norm(y - y.conj().T) > _VERIFY_TOL * scale:
                 raise ValueError(f"map {self.name!r} is not Hermiticity-preserving")
-            if self.trace_preserving and abs(np.trace(y) - np.trace(x)) > _VERIFY_TOL * scale:
+            if abs(np.trace(y) - np.trace(x)) > _VERIFY_TOL * scale:
                 raise ValueError(f"map {self.name!r} is not trace-preserving")
-            if self.hs_involution:
-                if frob_norm(self.apply(y) - x) > _VERIFY_TOL * scale:
-                    raise ValueError(f"map {self.name!r} is not an involution")
-                if abs(frob_norm(y) - frob_norm(x)) > _VERIFY_TOL * scale:
-                    raise ValueError(f"map {self.name!r} is not a Frobenius isometry")
+            if frob_norm(self.apply(y) - x) > _VERIFY_TOL * scale:
+                raise ValueError(f"map {self.name!r} is not an involution")
+            if abs(frob_norm(y) - frob_norm(x)) > _VERIFY_TOL * scale:
+                raise ValueError(f"map {self.name!r} is not a Frobenius isometry")
 
 
 def builtin_map(name: str, dims: BipartitionDims) -> PositiveMapSpec:
@@ -116,18 +121,6 @@ def resolve_map(name: str, dims: BipartitionDims) -> PositiveMapSpec:
     return builtin_map(name, dims)
 
 
-def _require_solver_grade(pmap: PositiveMapSpec) -> None:
-    if not (pmap.hermiticity_preserving and pmap.trace_preserving):
-        raise UnsupportedMapError(
-            f"map {pmap.name!r} must be Hermiticity- and trace-preserving"
-        )
-    if not pmap.hs_involution:
-        raise UnsupportedMapError(
-            f"map {pmap.name!r} is not an isometric involution; the exact cone "
-            "projection the solver needs is unavailable for such maps"
-        )
-
-
 def _require_dim(pmap: PositiveMapSpec, dim: int, what: str) -> None:
     if dim != pmap.dim:
         raise UnsupportedMapError(
@@ -152,7 +145,6 @@ def free_membership(sigma, pmap: PositiveMapSpec, tol: float = 1e-9) -> bool:
 def r_alpha(rho, pmap: PositiveMapSpec, alpha: float, cfg: SolverConfig = DEFAULT_CONFIG) -> MeasureResult:
     """Resourcefulness of a state with respect to the map, in bits."""
     alpha = check_alpha(alpha)
-    _require_solver_grade(pmap)
     rho = as_state(rho)
     _require_dim(pmap, rho.dims.total, "state dimension")
     X = herm_part(pmap.apply(rho.matrix))
@@ -184,7 +176,7 @@ def _measure(
         return MeasureResult(
             value_bits=0.0,
             alpha=alpha,
-            certificate_sigma=regularize(BipartiteState(rho.dims, X), cfg.eps_schedule.floor),
+            certificate_sigma=regularize(BipartiteState(rho.dims, X), _EPS_FLOOR),
             iterations=0,
             converged=True,
             bracket=(0.0, 0.0),
@@ -195,7 +187,7 @@ def _measure(
     if alpha == 1:
         result = MeasureResult(lower, 1.0, interior_point(rho.dims), 0, True, (lower, math.inf))
     else:
-        value, point, iters, ok = _pg_core(X, apply_map, rho.dims.total, alpha, cfg)
+        value, point, iters, ok = _pg_core(X, apply_map, rho.dims.total, alpha, cfg.max_iter)
         result = MeasureResult(
             value, alpha, BipartiteState(rho.dims, point), iters, ok, (lower, math.inf)
         )
@@ -214,7 +206,7 @@ def _kappa_measure(
     cfg: SolverConfig,
 ) -> MeasureResult:
     """Order-infinity value from the barrier SDP, audited against ``lower``."""
-    trace_val, S, iters, ok = _kappa_core(X, apply_map, cfg)
+    trace_val, S, iters, ok = _kappa_core(X, apply_map)
     value = math.log2(trace_val)
     S = herm_part(S)
     result = MeasureResult(
@@ -251,7 +243,7 @@ def _audit(
         upper = result.value_bits
     elif cfg.with_bracket:
         X = herm_part(apply_map(rho.matrix))
-        trace_val, _, _, ok = _kappa_core(X, apply_map, cfg)
+        trace_val, _, _, ok = _kappa_core(X, apply_map)
         upper = math.log2(trace_val) if ok else math.inf
     else:
         upper = math.inf
@@ -313,7 +305,6 @@ def r_alpha_channel(
 ):
     """Largest resourcefulness over input states, by derivative-free search
     over square-root parametrizations of the input density matrix."""
-    _require_solver_grade(pmap)
     _require_dim(pmap, channel.dim_out, "channel output")
     din = channel.dim_in
     out_dims = channel.bipartition_out or BipartitionDims(1, channel.dim_out)

@@ -33,7 +33,7 @@ inputs this turns the search into a stationarity check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,65 +59,16 @@ LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
-class ArmijoParams:
-    initial_step: float = 1.0
-    shrink: float = 0.5
-    decrease: float = 1e-4
-
-    def __post_init__(self):
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink factor must lie in (0, 1)")
-        if self.initial_step <= 0 or self.decrease <= 0:
-            raise ValueError("step and decrease constants must be positive")
-
-
-@dataclass(frozen=True)
-class EpsSchedule:
-    """Interior mixing weights: eps_k = max(floor, initial * decay**k)."""
-
-    initial: float = 1e-4
-    decay: float = 0.7
-    floor: float = 1e-10
-
-    def __post_init__(self):
-        if not 0 < self.floor <= self.initial < 1:
-            raise ValueError("schedule must satisfy 0 < floor <= initial < 1")
-        if not 0 < self.decay < 1:
-            raise ValueError("decay must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class BarrierParams:
-    t_init: float = 1.0
-    growth: float = 10.0
-    newton_tol: float = 1e-9
-    max_newton: int = 60
-
-    def __post_init__(self):
-        if self.growth <= 1:
-            raise ValueError("barrier growth factor must exceed 1")
-        if self.t_init <= 0 or self.newton_tol <= 0:
-            raise ValueError("barrier parameters must be positive")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     value_tol: float = 1e-4
-    grad_tol: float = 1e-6
     max_iter: int = 5000
-    armijo: ArmijoParams = field(default_factory=ArmijoParams)
-    eps_schedule: EpsSchedule = field(default_factory=EpsSchedule)
     seed: int = 0
-    barrier: BarrierParams = field(default_factory=BarrierParams)
-    projection: DykstraConfig = field(
-        default_factory=lambda: DykstraConfig(max_cycles=1500, residual_tol=1e-9)
-    )
     with_bracket: bool = True
     restarts: int = 20
 
     def __post_init__(self):
-        if self.value_tol <= 0 or self.grad_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.value_tol <= 0:
+            raise ValueError("value_tol must be positive")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -198,6 +149,21 @@ def objective_and_gradient(
 # ---------------------------------------------------------------------------
 # projected gradient core
 
+# Stationarity: projected step length over step size at or below this stops
+# the descent once the smoothing weight sits at its floor.
+_GRAD_TOL = 1e-6
+# Armijo backtracking on the projected direction.
+_ARMIJO_INITIAL_STEP = 1.0
+_ARMIJO_SHRINK = 0.5
+_ARMIJO_DECREASE = 1e-4
+# Interior mixing weights: eps_k = max(floor, initial * decay**k).
+_EPS_INITIAL = 1e-4
+_EPS_DECAY = 0.7
+_EPS_FLOOR = 1e-10
+# Dykstra budget per projection; looser than ``project_ppt``'s default,
+# because a stalled projection is absorbed by the interior mixing.
+_PG_PROJECTION = DykstraConfig(max_cycles=1500, residual_tol=1e-9)
+
 
 def _start_candidates(X: np.ndarray, apply_map, D: int) -> list[np.ndarray]:
     """Feasible starting points: the maximally mixed state, plus |X|/||X||_1
@@ -218,7 +184,7 @@ def _pg_core(
     apply_map: Callable[[np.ndarray], np.ndarray],
     D: int,
     alpha: float,
-    cfg: SolverConfig,
+    max_iter: int,
 ):
     """Projected gradient descent of f over the free set.
 
@@ -232,7 +198,6 @@ def _pg_core(
     Returns (value_bits, best interior sigma, iterations, converged).
     """
     eye_over_d = np.eye(D, dtype=complex) / D
-    sched = cfg.eps_schedule
 
     def defect_of(m: np.ndarray) -> float:
         d1 = -float(np.linalg.eigvalsh(m)[0])
@@ -247,7 +212,7 @@ def _pg_core(
         # a stalled projection is still near-feasible; the defect-aware
         # regularization absorbs the residual
         try:
-            return project_free_set(m, apply_map, cfg.projection)
+            return project_free_set(m, apply_map, _PG_PROJECTION)
         except NotConvergedError as exc:
             return exc.iterate
 
@@ -257,7 +222,7 @@ def _pg_core(
         except NotPositiveDefiniteError:
             return (math.inf, None) if want_grad else math.inf
 
-    eps = sched.initial
+    eps = _EPS_INITIAL
     best = None
     sigma = None
     sigma_defect = 0.0
@@ -277,7 +242,7 @@ def _pg_core(
     prev_grad = None
     step_scale = None
 
-    for iters in range(1, cfg.max_iter + 1):
+    for iters in range(1, max_iter + 1):
         log_f, grad = eval_log(sigma, eps, sigma_defect, want_grad=True)
         if grad is None:
             break  # evaluation point degenerate beyond repair
@@ -286,7 +251,7 @@ def _pg_core(
 
         # spectral (Barzilai-Borwein) step length, safeguarded; falls back to
         # a gradient-normalized step on the first iteration or bad curvature
-        fallback = cfg.armijo.initial_step / (1.0 + frob_norm(grad))
+        fallback = _ARMIJO_INITIAL_STEP / (1.0 + frob_norm(grad))
         if prev_sigma is not None:
             s_diff = sigma - prev_sigma
             y_diff = grad - prev_grad
@@ -307,12 +272,12 @@ def _pg_core(
         # min-eigenvalue is concave, so points on the segment are no worse
         segment_defect = max(sigma_defect, target_defect)
 
-        at_floor = eps <= sched.floor * (1 + 1e-12)
-        if dir_norm / max(step_scale, 1e-30) <= cfg.grad_tol:
+        at_floor = eps <= _EPS_FLOOR * (1 + 1e-12)
+        if dir_norm / max(step_scale, 1e-30) <= _GRAD_TOL:
             if at_floor:
                 converged = True
                 break
-            eps = sched.floor  # stationary at this smoothing level; finish at the floor
+            eps = _EPS_FLOOR  # stationary at this smoothing level; finish at the floor
             streak = 0
             prev_log = math.inf
             continue
@@ -323,15 +288,15 @@ def _pg_core(
         while t > 1e-13:
             cand = sigma + t * direction
             cand_log = eval_log(cand, eps, segment_defect, want_grad=False)
-            if cand_log <= log_f + cfg.armijo.decrease * t * slope:
+            if cand_log <= log_f + _ARMIJO_DECREASE * t * slope:
                 accepted = True
                 break
-            t *= cfg.armijo.shrink
+            t *= _ARMIJO_SHRINK
         if not accepted:
             if at_floor:
                 converged = True  # no descent direction at numerical precision
                 break
-            eps = sched.floor
+            eps = _EPS_FLOOR
             streak = 0
             prev_log = math.inf
             continue
@@ -348,7 +313,7 @@ def _pg_core(
         else:
             streak = 0
         prev_log = cand_log
-        eps = max(sched.floor, eps * sched.decay)
+        eps = max(_EPS_FLOOR, eps * _EPS_DECAY)
 
     value_bits = best_log / (alpha * LN2)
     return value_bits, best_point, iters, converged
@@ -356,6 +321,14 @@ def _pg_core(
 
 # ---------------------------------------------------------------------------
 # barrier SDP core
+
+# Barrier weight t starts at _BARRIER_T_INIT and grows by _BARRIER_GROWTH per
+# stage until the duality-gap bound nu/t drops below _BARRIER_GAP_TOL; each
+# stage runs at most _BARRIER_MAX_NEWTON damped Newton steps.
+_BARRIER_T_INIT = 1.0
+_BARRIER_GROWTH = 10.0
+_BARRIER_GAP_TOL = 1e-9
+_BARRIER_MAX_NEWTON = 60
 
 
 def hermitian_basis(D: int) -> np.ndarray:
@@ -389,7 +362,6 @@ def _chol_logdet(A: np.ndarray):
 def _kappa_core(
     X: np.ndarray,
     apply_map: Callable[[np.ndarray], np.ndarray],
-    cfg: SolverConfig,
 ):
     """Barrier method for min Tr[S] s.t. map(S) +- X >= 0, S >= 0.
 
@@ -404,7 +376,7 @@ def _kappa_core(
     eye = np.eye(D, dtype=complex)
 
     S = (2.0 * op_norm(X) + 0.5) * eye
-    t = cfg.barrier.t_init
+    t = _BARRIER_T_INIT
     nu = 3.0 * D  # total barrier parameter of the three log-det blocks
     total_newton = 0
     converged = True
@@ -424,7 +396,7 @@ def _kappa_core(
 
     max_stages = 400
     for _ in range(max_stages):
-        for _ in range(cfg.barrier.max_newton):
+        for _ in range(_BARRIER_MAX_NEWTON):
             A1, A2, A3 = blocks(S)
             inv1 = np.linalg.inv(A1)
             inv2 = np.linalg.inv(A2)
@@ -472,9 +444,9 @@ def _kappa_core(
                 if not accepted:
                     break
                 S = trial
-        if nu / t < cfg.barrier.newton_tol:
+        if nu / t < _BARRIER_GAP_TOL:
             break
-        t *= cfg.barrier.growth
+        t *= _BARRIER_GROWTH
     else:
         converged = False
 

@@ -2,9 +2,10 @@
 
 State JSON format (shared with the CLI): an object with "dims": [dA, dB] and
 "matrix": D rows of D entries, each entry a [re, im] pair, row-major in the
-composite index a * dB + b.  Parsers reject non-finite entries, and
-non-Hermitian, non-unit-trace or negative-spectrum inputs unless ``raw=True``
-admits arbitrary Hermitian operators.
+composite index a * dB + b.  Parsers reject dims that are not positive
+integers, entries that are not one pair of finite numbers, and non-Hermitian,
+non-unit-trace or negative-spectrum inputs unless ``raw=True`` admits
+arbitrary Hermitian operators.
 """
 
 from __future__ import annotations
@@ -46,11 +47,13 @@ class BipartiteState:
             m = check_hermitian(m, STATE_ATOL)
         except Exception as exc:
             raise InvalidStateError(f"state is not Hermitian: {exc}") from exc
+        # written to fail on NaN, which symmetrizing entries near the float
+        # limit produces
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > STATE_ATOL:
+        if not abs(tr - 1.0) <= STATE_ATOL:
             raise InvalidStateError(f"state trace {tr} is not 1 within {STATE_ATOL:g}")
         lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -STATE_ATOL:
+        if not lo >= -STATE_ATOL:
             raise InvalidStateError(f"state has negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "matrix", m)
 
@@ -255,12 +258,35 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
     return [[[float(e.real), float(e.imag)] for e in row] for row in np.asarray(m, complex)]
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _pair_to_complex(e) -> complex:
+    if not (isinstance(e, list) and len(e) == 2 and all(_is_number(x) for x in e)):
+        raise ValueError(f"each matrix entry must be one [re, im] pair of numbers, got {e!r}")
+    return complex(e[0], e[1])
+
+
 def _pairs_to_matrix(rows: list) -> np.ndarray:
-    """Matrix from rows of [re, im] pairs; ValueError on a non-finite entry."""
-    m = np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex)
+    """Matrix from rows of [re, im] pairs of finite numbers.
+
+    Raises ValueError on any other entry, and OverflowError on an integer too
+    large for a float.
+    """
+    m = np.array([[_pair_to_complex(e) for e in row] for row in rows], dtype=complex)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def _positive_ints(values) -> list[int]:
+    """A JSON list of dimensions; ValueError unless each is a positive int."""
+    dims = list(values)
+    for d in dims:
+        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+            raise ValueError(f"dimensions must be positive integers, got {d!r}")
+    return dims
 
 
 def state_to_json(state: BipartiteState) -> dict:
@@ -270,18 +296,20 @@ def state_to_json(state: BipartiteState) -> dict:
 def state_from_json(payload: dict, raw: bool = False):
     """Parse the state JSON object; with raw=True return (dims, Hermitian matrix)."""
     try:
-        dA, dB = (int(x) for x in payload["dims"])
+        dims = BipartitionDims(*_positive_ints(payload["dims"]))
         m = _pairs_to_matrix(payload["matrix"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidStateError(f"malformed state JSON: {exc}") from exc
-    dims = BipartitionDims(dA, dB)
     if raw:
         if m.shape != (dims.total, dims.total):
             raise InvalidStateError(f"matrix shape {m.shape} does not match dims {dims}")
         try:
-            return dims, check_hermitian(m, STATE_ATOL)
+            h = check_hermitian(m, STATE_ATOL)
         except Exception as exc:
             raise InvalidStateError(f"raw operator is not Hermitian: {exc}") from exc
+        if not np.all(np.isfinite(h)):
+            raise InvalidStateError("raw operator entries overflow when symmetrized")
+        return dims, h
     return BipartiteState(dims, m)
 
 

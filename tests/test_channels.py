@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaneg.channels import (
     Instrument,
@@ -19,20 +21,31 @@ from alphaneg.channels import (
     instrument_outcomes,
     is_cpptp,
     is_cpptp_instrument,
-    monotonicity_check,
     random_kraus_channel,
     random_local_instrument,
     superop_matrix,
     werner_holevo_channel,
     werner_holevo_value,
 )
-from alphaneg.errors import NotCpptpError, OutOfDomainError
+from alphaneg.errors import CommutationFailedError, OutOfDomainError
 from alphaneg.linalg import BipartitionDims, partial_transpose, subsystem_transpose, tensor
+from alphaneg.resource import builtin_map, free_instrument_monotonicity_check
 from alphaneg.solver import DEFAULT_CONFIG
 from alphaneg.states import max_entangled, ppt_membership, random_state, swap_operator, werner_state
 
+from conftest import DIMS, JSON, MATRIX, corrupted
+
 DIMS22 = BipartitionDims(2, 2)
 FAST = dataclasses.replace(DEFAULT_CONFIG, with_bracket=False)
+PT22 = builtin_map("partial_transpose", DIMS22)
+# the identity channel on a 1x2 bipartition, and on C^1
+IDENTITY_KRAUS_JSON = {
+    "kind": "kraus",
+    "dims_in": [1, 2],
+    "dims_out": [1, 2],
+    "data": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],
+}
+IDENTITY_SUPEROP_JSON = {"kind": "superop", "dims_in": [1], "dims_out": [1], "data": [[[1, 0]]]}
 
 
 def identity_channel(d):
@@ -182,7 +195,7 @@ class TestMonotonicity:
             (KrausChannel((np.kron(np.eye(2), u),), 4, 4),), DIMS22, DIMS22
         )
         rho = random_state(DIMS22, 2, seed=momentum_seed(0))
-        lhs, rhs, slack = monotonicity_check(instr, rho, 2.0, FAST)
+        slack = free_instrument_monotonicity_check(instr, rho, PT22, 2.0, FAST)
         assert abs(slack) < 3e-4
 
     def test_measure_and_discard(self):
@@ -192,15 +205,14 @@ class TestMonotonicity:
             KrausChannel((np.kron(np.eye(2), p),), 4, 4) for p in (p0, p1)
         )
         instr = Instrument(elements, DIMS22, DIMS22)
-        lhs, rhs, slack = monotonicity_check(instr, max_entangled(2), 2.0, FAST)
-        assert rhs == pytest.approx(0.0, abs=1e-9)
-        assert lhs == pytest.approx(1.0, abs=1e-4)
-        assert slack > 0.9
+        # the Bell state has 1 bit; both post-measurement states are product
+        slack = free_instrument_monotonicity_check(instr, max_entangled(2), PT22, 2.0, FAST)
+        assert slack == pytest.approx(1.0, abs=1e-4)
 
     def test_random_two_outcome_instrument(self):
         instr = random_local_instrument(DIMS22, 2, seed=17)
         rho = random_state(DIMS22, 2, seed=momentum_seed(1))
-        _, _, slack = monotonicity_check(instr, rho, 2.0, FAST)
+        slack = free_instrument_monotonicity_check(instr, rho, PT22, 2.0, FAST)
         assert slack >= -3e-4
 
     def test_rejects_non_cpptp(self):
@@ -213,8 +225,8 @@ class TestMonotonicity:
             DIMS22,
             DIMS22,
         )
-        with pytest.raises(NotCpptpError):
-            monotonicity_check(instr, max_entangled(2), 2.0, FAST)
+        with pytest.raises(CommutationFailedError):
+            free_instrument_monotonicity_check(instr, max_entangled(2), PT22, 2.0, FAST)
 
 
 def momentum_seed(i):
@@ -349,6 +361,58 @@ class TestChannelJson:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             channel_from_json({"kind": "mystery", "dims_in": [2], "dims_out": [2], "data": []})
+
+    @pytest.mark.parametrize(
+        "dims, matrix",
+        [
+            ([0], [[[1.0, 0.0]]]),
+            ([2.0], [[[1.0, 0.0]] * 4] * 4),
+            ([True], [[[1.0, 0.0]]]),
+            ([2], "abcd"),
+            ([1], [[[1]]]),
+            ([1], [[[1, 0, 5]]]),
+            ([1], [[[True, 0]]]),
+            ([1], [[[10**400, 0]]]),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["kraus", "superop"])
+    def test_rejects_bad_dims_and_entries(self, kind, dims, matrix):
+        # with dims [1] and entry [1, 0] both kinds are the identity on C^1
+        payload = {
+            "kind": kind,
+            "dims_in": dims,
+            "dims_out": dims,
+            "data": [matrix] if kind == "kraus" else matrix,
+        }
+        with pytest.raises(ValueError, match="malformed channel JSON"):
+            channel_from_json(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        payload=st.fixed_dictionaries(
+            {
+                "kind": st.sampled_from(["kraus", "superop"]) | JSON,
+                "dims_in": DIMS,
+                "dims_out": DIMS,
+                "data": st.lists(MATRIX, max_size=2) | MATRIX,
+            }
+        )
+        | corrupted(
+            IDENTITY_KRAUS_JSON,
+            st.tuples(st.just("data"), st.just(0), st.integers(0, 1), st.integers(0, 1))
+            | st.sampled_from([("kind",), ("dims_in",), ("dims_out", 0), ("data",), ("data", 0)]),
+        )
+        | corrupted(
+            IDENTITY_SUPEROP_JSON,
+            st.sampled_from([("data", 0, 0), ("data", 0), ("dims_in", 0), ("dims_out",)]),
+        )
+        | JSON
+    )
+    def test_any_payload_parses_or_raises_malformed(self, payload):
+        try:
+            channel_from_json(payload)
+        except ValueError as exc:
+            assert str(exc).startswith("malformed channel JSON")
 
     @pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
     @pytest.mark.parametrize("kind", ["kraus", "superop"])

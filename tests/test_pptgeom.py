@@ -6,7 +6,6 @@ from alphaneg.linalg import BipartitionDims, partial_transpose
 from alphaneg.pptgeom import (
     DykstraConfig,
     interior_point,
-    is_ppt_inv,
     project_ppt,
     regularize,
 )
@@ -15,6 +14,12 @@ from alphaneg.states import max_entangled, ppt_membership, random_state, werner_
 from conftest import random_hermitian
 
 DIMS22 = BipartitionDims(2, 2)
+
+
+def min_eigs(sigma):
+    """Smallest eigenvalues of sigma and of its partial transpose."""
+    pt = partial_transpose(sigma.matrix, sigma.dims, "B")
+    return np.linalg.eigvalsh(sigma.matrix)[0], np.linalg.eigvalsh(pt)[0]
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +110,7 @@ class TestInteriorPoint:
         )
 
     def test_strictly_interior(self):
-        assert is_ppt_inv(interior_point(DIMS22))
+        assert min(min_eigs(interior_point(DIMS22))) > 1e-8
 
     def test_divergence_finite_for_any_state(self):
         from alphaneg.divergence import nu_alpha
@@ -124,8 +129,8 @@ class TestRegularize:
 
     def test_ppt_becomes_interior(self):
         rho = werner_state(2, 0.5)  # PPT boundary
-        assert not is_ppt_inv(rho)
-        assert is_ppt_inv(regularize(rho, 1e-3))
+        assert min(min_eigs(rho)) <= 1e-8
+        assert min(min_eigs(regularize(rho, 1e-3))) > 1e-8
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
@@ -135,12 +140,15 @@ class TestRegularize:
 
 
 class TestIsPptInv:
+    """Which fixtures lie strictly inside the PPT set: sigma and its partial
+    transpose both positive definite beyond 1e-8."""
+
     def test_bell_state_rank_deficient(self):
-        assert not is_ppt_inv(max_entangled(2))
+        assert min(min_eigs(max_entangled(2))) <= 1e-8
 
     def test_boundary_werner(self):
         # the partial transpose spectrum touches zero at the threshold weight
-        assert not is_ppt_inv(werner_state(3, 0.5), tol=1e-8)
+        assert min(min_eigs(werner_state(3, 0.5))) <= 1e-8
 
     def test_interior_werner(self):
-        assert is_ppt_inv(werner_state(3, 0.3))
+        assert min(min_eigs(werner_state(3, 0.3))) > 1e-8

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaneg.divergence import log_negativity
 from alphaneg.errors import InvalidStateError
@@ -26,7 +28,7 @@ from alphaneg.states import (
     werner_state,
 )
 
-from conftest import random_hermitian
+from conftest import DIMS, JSON, MATRIX, corrupted, random_hermitian
 
 DIMS22 = BipartitionDims(2, 2)
 
@@ -250,6 +252,53 @@ class TestStateJson:
         path.write_text(json.dumps(payload))
         with pytest.raises(InvalidStateError, match="malformed state JSON"):
             load_state(path, raw=raw)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dims": [0, 2], "matrix": [[[0.5, 0.0]] * 2] * 2},
+            {"dims": [2.0, 1], "matrix": [[[0.5, 0.0]] * 2] * 2},
+            {"dims": [True, 1], "matrix": [[[1.0, 0.0]]]},
+            {"dims": [2, 2], "matrix": "abcd"},
+            {"dims": [1, 1], "matrix": [[[1]]]},
+            {"dims": [1, 1], "matrix": [[[1, 0, 5]]]},
+            {"dims": [1, 1], "matrix": [[[True, 0]]]},
+            {"dims": [1, 1], "matrix": [[[10**400, 0]]]},
+        ],
+    )
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_rejects_bad_dims_and_entries(self, payload, raw):
+        with pytest.raises(InvalidStateError, match="malformed state JSON"):
+            state_from_json(payload, raw=raw)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_rejects_entries_that_overflow_when_symmetrized(self, raw):
+        # finite and Hermitian, but (M + M^dag) / 2 overflows to inf and NaN
+        big = [1.7e308, 0.0]
+        payload = {"dims": [1, 2], "matrix": [[[0.5, 0.0], big], [big, [0.5, 0.0]]]}
+        with pytest.raises(InvalidStateError):
+            state_from_json(payload, raw=raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        payload=st.fixed_dictionaries({"dims": DIMS, "matrix": MATRIX})
+        | corrupted(
+            state_to_json(max_entangled(2)),
+            st.tuples(st.just("matrix"), st.integers(0, 3), st.integers(0, 3))
+            | st.tuples(st.just("dims"), st.integers(0, 1))
+            | st.sampled_from([("dims",), ("matrix",)]),
+        )
+        | JSON,
+        raw=st.booleans(),
+    )
+    def test_any_payload_parses_or_raises_invalid_state(self, payload, raw):
+        try:
+            parsed = state_from_json(payload, raw=raw)
+        except InvalidStateError:
+            return
+        matrix = parsed[1] if raw else parsed.matrix
+        assert np.all(np.isfinite(matrix))
 
     def test_json_fields(self):
         payload = state_to_json(max_entangled(2))
