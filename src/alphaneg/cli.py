@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 reproduction mismatch, 2 invalid input,
 3 non-convergence (value still printed), 4 unsupported map or out-of-domain
 parameters.  Every sweep CSV gets a sibling ``<name>.manifest.json`` recording
-the command, inputs, seed, config overrides, wall clock and tool version, so
-a CSV can be regenerated bit for bit.
+the command, inputs, config overrides, wall clock and tool version, so a CSV
+can be regenerated bit for bit.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _config_from_args(args) -> SolverConfig:
 
 def _overrides_dict(args) -> dict:
     out = {}
-    for key in ("tol", "max_iter", "seed"):
+    for key in ("tol", "max_iter"):
         val = getattr(args, key, None)
         if val is not None:
             out[key] = val
@@ -109,7 +109,6 @@ def _write_manifest(out_path: Path, args, started: float, extra: dict | None = N
         "command": " ".join(sys.argv),
         "inputs": [str(getattr(args, "state", "")) or str(getattr(args, "channel", ""))],
         "config_overrides": _overrides_dict(args),
-        "seed": getattr(args, "seed", None),
         "output": str(out_path),
         "wall_clock_seconds": round(time.time() - started, 3),
         "tool_version": __version__,
@@ -428,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="values over a grid of orders, to CSV")
     p.add_argument("state", type=Path)
-    common(p)
+    common(p, seed=False)
     p.add_argument("--alphas", default=None, help="comma list, e.g. 1,1.5,2,inf")
     p.add_argument("--grid", default=None, help="lo:hi:n linear grid")
     p.add_argument("--out", required=True, help="CSV output path")

@@ -6,13 +6,18 @@ module owns the conventions:
 * the composite index of a bipartite system is row-major, (a, b) -> a * dB + b,
   matching ``numpy.kron``;
 * Hermitian inputs are symmetrized to (H + H^dag)/2 once the Hermiticity
-  tolerance has passed, so spectral code never sees asymmetry noise;
+  tolerance has passed, so spectral code never sees asymmetry noise.  The
+  tolerance is stated in operator norms; ``check_hermitian`` first tries a
+  Frobenius-norm bound that implies it, which every exactly Hermitian matrix
+  (such as the iterates of the projections) passes, and gives only the rest
+  the two SVDs, so it accepts exactly what the SVD test accepts;
 * eigenvalues at or below ``tol * lambda_max`` count as zero wherever a support
   decision is made (generalized powers, support inclusion tests).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +31,11 @@ from .errors import (
 
 SUPPORT_TOL = 1e-10
 HERMITICITY_TOL = 1e-9
+# Frobenius pre-test of check_hermitian: it needs a threshold large enough
+# that squaring the entries of M - M^dag cannot underflow unnoticed, and it
+# leaves a relative margin for the rounding of the two norm routines.
+_PRETEST_MIN_BOUND = 1e-100
+_PRETEST_MARGIN = 1 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,12 +72,29 @@ def frob_norm(M: np.ndarray) -> float:
 
 def check_hermitian(M: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate Hermiticity within ``tol`` (relative to the operator norm) and
-    return the symmetrized matrix."""
+    return the symmetrized matrix.
+
+    The rule is ``||A||_2 <= tol * max(||M||_2, 1e-300)`` with A = M - M^dag.
+    Since ``||A||_2 <= ||A||_F`` and ``||M||_2 >= ||M||_F / sqrt(n)``, the
+    matrix is accepted at once when ``||A||_F <= tol * ||M||_F / sqrt(n)``,
+    with that bound finite and at least ``_PRETEST_MIN_BOUND`` (below it the
+    squares of A's entries can underflow to zero) and a margin for rounding.
+    Every other matrix gets the two-SVD test, so the accepted set, the error
+    and the returned bits are those of the SVD test alone.  Non-finite
+    entries are rejected first, and a NaN norm (M - M^dag overflowing) fails
+    the SVD test.
+    """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NonHermitianError(f"expected a square matrix, got shape {M.shape}")
-    scale = op_norm(M)
-    if op_norm(M - M.conj().T) > tol * max(scale, 1e-300):
+    if not np.isfinite(M).all():
+        raise NonHermitianError("matrix has non-finite entries")
+    A = M - M.conj().T
+    bound = tol * frob_norm(M) / math.sqrt(max(M.shape[0], 1))
+    # written so that a NaN or infinite bound falls through to the SVD test
+    if _PRETEST_MIN_BOUND <= bound < math.inf and frob_norm(A) <= _PRETEST_MARGIN * bound:
+        return herm_part(M)
+    if not op_norm(A) <= tol * max(op_norm(M), 1e-300):
         raise NonHermitianError(
             f"matrix is not Hermitian within tolerance {tol:g}"
         )
@@ -115,10 +142,10 @@ def partial_transpose(M: np.ndarray, dims: BipartitionDims, subsystem: str = "B"
     M = np.asarray(M, dtype=complex)
     if M.shape != (dims.total, dims.total):
         raise ValueError(f"matrix shape {M.shape} does not match dims {dims}")
-    which = {"A": (0,), "B": (1,)}.get(subsystem)
-    if which is None:
+    axes = {"A": (2, 1, 0, 3), "B": (0, 3, 2, 1)}.get(subsystem)
+    if axes is None:
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return subsystem_transpose(M, (dims.dA, dims.dB), which)
+    return M.reshape(dims.dA, dims.dB, dims.dA, dims.dB).transpose(axes).reshape(M.shape)
 
 
 def partial_trace(M: np.ndarray, dims: BipartitionDims, subsystem: str = "B") -> np.ndarray:

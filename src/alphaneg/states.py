@@ -21,7 +21,6 @@ from .errors import InvalidStateError
 from .linalg import (
     BipartitionDims,
     check_hermitian,
-    herm_part,
     partial_trace,
     partial_transpose,
     tensor,

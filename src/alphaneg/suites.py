@@ -26,10 +26,9 @@ from .divergence import (
     nu_alpha,
 )
 from .errors import NotConvergedError
-from .linalg import BipartitionDims, herm_part, partial_trace, schatten_norm, tensor
+from .linalg import BipartitionDims, herm_part, schatten_norm
 from .solver import DEFAULT_CONFIG, SolverConfig, e_alpha, e_kappa
 from .states import (
-    BipartiteState,
     cq_assemble,
     product_state,
     random_state,

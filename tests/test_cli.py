@@ -59,12 +59,16 @@ class TestSweepOrders:
         ("project", "--tol"),
         ("project", "--max-iter"),
         ("project", "--precision"),
+        ("sweep", "--seed"),
     ],
 )
-def test_flags_no_code_reads_are_gone(ppt_state, command, flag):
+def test_flags_no_code_reads_are_gone(ppt_state, tmp_path, capsys, command, flag):
+    # sweep's required options are given, so the flag is what argparse rejects
+    required = {"sweep": ["--alphas", "2", "--out", str(tmp_path / "sweep.csv")]}
     with pytest.raises(SystemExit) as exc:
-        main([command, str(ppt_state), flag, "1"])
+        main([command, str(ppt_state), *required.get(command, []), flag, "1"])
     assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_project_leaves_a_ppt_state_in_place(ppt_state, tmp_path):

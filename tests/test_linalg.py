@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from alphaneg.errors import (
     AlphaOutOfRangeError,
@@ -7,8 +11,11 @@ from alphaneg.errors import (
     NonHermitianError,
 )
 from alphaneg.linalg import (
+    HERMITICITY_TOL,
     BipartitionDims,
     _power_gradient_from_eig,
+    check_hermitian,
+    herm_part,
     hermitian_eig,
     matrix_power_support,
     partial_trace,
@@ -16,6 +23,7 @@ from alphaneg.linalg import (
     permute_subsystems,
     psd_project,
     schatten_norm,
+    subsystem_transpose,
     support_leq,
     tensor,
 )
@@ -109,6 +117,30 @@ class TestPartialTranspose:
         with pytest.raises(ValueError):
             partial_transpose(np.eye(5), BipartitionDims(2, 3))
 
+    def test_rejects_unknown_subsystem(self):
+        with pytest.raises(ValueError, match="subsystem"):
+            partial_transpose(np.eye(6), BipartitionDims(2, 3), "C")
+
+    @pytest.mark.parametrize("dA", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dB", [1, 2, 3, 4])
+    def test_matches_subsystem_transpose(self, rng, dA, dB):
+        d = dA * dB
+        g = rng.standard_normal((d, d))
+        inputs = {
+            "complex": g + 1j * rng.standard_normal((d, d)),
+            "real": g,
+            "integer": rng.integers(-9, 10, size=(d, d)),
+            "transposed view": (g + 1j * rng.standard_normal((d, d))).T,
+        }
+        dims = BipartitionDims(dA, dB)
+        for kind, m in inputs.items():
+            for sub, which in (("A", (0,)), ("B", (1,))):
+                out = partial_transpose(m, dims, sub)
+                assert out.dtype == complex and out.shape == (d, d)
+                np.testing.assert_array_equal(
+                    out, subsystem_transpose(m, (dA, dB), which), err_msg=f"{kind} {sub}"
+                )
+
 
 class TestPartialTrace:
     def test_product(self, rng):
@@ -159,6 +191,73 @@ class TestHermitianEig:
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         with pytest.raises(NonHermitianError):
             hermitian_eig(g)
+
+
+def _svd_rule(m, tol):
+    """Both sides of the Hermiticity rule in operator norms, by two SVDs; the
+    rule accepts when the first is <= the second."""
+    a = m - m.conj().T
+    return np.linalg.norm(a, 2), tol * max(np.linalg.norm(m, 2), 1e-300)
+
+
+class TestCheckHermitian:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        log_s=st.floats(-4.0, 4.0),
+        log_scale=st.floats(-300.0, 300.0),
+        tol=st.sampled_from([HERMITICITY_TOL, 1e-6, 1e-3]),
+    )
+    def test_decides_as_the_svd_rule(self, n, seed, log_s, log_scale, tol):
+        # M = H + s K with H Hermitian and K anti-Hermitian; log_s = 0 puts
+        # ||M - M^dag||_2 near tol * ||M||_2, and the overall scale runs past
+        # where squares of the entries underflow or overflow
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h, k = herm_part(g), (k - k.conj().T) / 2
+        s = tol * np.linalg.norm(h, 2) / (2 * np.linalg.norm(k, 2)) * 10.0**log_s
+        m = 10.0**log_scale * (h + s * k)
+        lhs, rhs = _svd_rule(m, tol)
+        assume(abs(lhs - rhs) > 1e-12 * rhs)
+        if lhs <= rhs:
+            assert check_hermitian(m, tol).tobytes() == herm_part(m).tobytes()
+        else:
+            with pytest.raises(NonHermitianError, match="not Hermitian within tolerance"):
+                check_hermitian(m, tol)
+
+    @pytest.mark.parametrize(
+        "m, accepted",
+        [
+            # M - M^dag overflows, so its Frobenius norm is inf and its SVD norm
+            # NaN: neither inf <= inf nor a NaN comparison may accept it
+            (np.array([[0, 1.7e308], [-1.7e308, 0]], dtype=complex), False),
+            (np.full((3, 3), 1e200, dtype=complex), True),
+            (np.zeros((4, 4), dtype=complex), True),
+            # the squares of the entries underflow, so both Frobenius norms are 0
+            (1e-170 * np.array([[1j, 1], [-1, 2j]]), False),
+            (np.array([[1.0, 1e-6], [0.0, 1.0]], dtype=complex), False),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_regressions(self, m, accepted):
+        lhs, rhs = _svd_rule(m, HERMITICITY_TOL)
+        assert (lhs <= rhs) == accepted
+        if accepted:
+            assert check_hermitian(m).tobytes() == herm_part(m).tobytes()
+        else:
+            with pytest.raises(NonHermitianError, match="not Hermitian within tolerance"):
+                check_hermitian(m)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
+    @pytest.mark.parametrize("kernel", [check_hermitian, hermitian_eig, psd_project])
+    def test_rejects_non_finite_entries(self, bad, kernel):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(NonHermitianError, match="matrix has non-finite entries"):
+            kernel(m)
 
 
 class TestSchattenNorm:

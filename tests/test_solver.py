@@ -20,7 +20,6 @@ from alphaneg.solver import (
     objective_and_gradient,
 )
 from alphaneg.states import (
-    BipartiteState,
     max_entangled,
     no_convexity_fixture,
     ppt_membership,

@@ -215,6 +215,15 @@ class TestStateValidation:
         with pytest.raises(InvalidStateError):
             BipartiteState(DIMS22, m)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 3] = m[3, 0] = bad
+        with pytest.raises(
+            InvalidStateError, match="state is not Hermitian: matrix has non-finite entries"
+        ):
+            BipartiteState(DIMS22, m)
+
 
 class TestStateJson:
     def test_round_trip(self, tmp_path):
