@@ -6,9 +6,9 @@ is the unnormalized (id (x) N) applied to d * (maximally entangled), with the
 reference factor first.  The composite index is the row-major one used
 everywhere else in the package.
 
-One builder, ``_conjugated_choi``, gives the Choi matrix of P_out . N . P_in
-for any maps on the input and output sides; ``is_cpptp``,
-``is_cpptp_instrument`` and ``resource._check_free_operation`` are its uses.
+``is_cpptp`` and ``is_cpptp_instrument`` get the Choi matrix of
+P_out . N . P_in from the one builder, ``linalg._conjugated_choi``, which
+``resource._check_free_operation`` and ``solver._kappa_core`` use too.
 One seeded multi-start Nelder-Mead search, ``_multistart_search``, serves
 both ``channel_e_alpha`` and ``resource.r_alpha_channel``.
 
@@ -32,12 +32,13 @@ from scipy import optimize
 from .errors import InvalidStateError, NotConvergedError, NotCpptpError, OutOfDomainError
 from .linalg import (
     BipartitionDims,
+    _conjugated_choi,
     herm_part,
     op_norm,
     partial_trace,
     partial_transpose,
 )
-from .states import BipartiteState, _pairs_to_matrix, _positive_ints, swap_operator
+from .states import BipartiteState, _pairs_to_matrix, _positive_ints, as_state, swap_operator
 
 _PROB_CUTOFF = 1e-8
 
@@ -80,18 +81,6 @@ class KrausChannel:
         for k in self.kraus_ops:
             out += k @ M @ k.conj().T
         return out
-
-    def completeness_defect(self) -> float:
-        """Operator-norm distance of sum K^dag K from the identity."""
-        acc = sum(k.conj().T @ k for k in self.kraus_ops)
-        return op_norm(acc - np.eye(self.dim_in))
-
-    def is_trace_preserving(self, tol: float = 1e-9) -> bool:
-        return self.completeness_defect() <= tol
-
-    def is_subnormalized(self, tol: float = 1e-9) -> bool:
-        acc = sum(k.conj().T @ k for k in self.kraus_ops)
-        return float(np.linalg.eigvalsh(herm_part(np.eye(self.dim_in) - acc))[0]) >= -tol
 
 
 @dataclass(frozen=True)
@@ -156,35 +145,6 @@ def _require_bipartitions(channel: Channel) -> tuple[BipartitionDims, Bipartitio
     return channel.bipartition_in, channel.bipartition_out
 
 
-def _conjugated_choi(apply, p_in, p_out, d_in: int) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) (P_out . N . P_in)(|i><j|), reference first.
-
-    N is ``apply``; the maps P_in and P_out act on the input and output
-    spaces.  They are trusted on Hermitian inputs only, so the composite M is
-    applied to the Hermitian basis E_ii, H1 = E_ij + E_ji, H2 = i(E_ij - E_ji)
-    (i < j) alone.  The image of E_ij is then (M(H1) - i M(H2)) / 2, the
-    unique complex-linear extension of the Hermiticity-preserving map M.
-    """
-
-    def m(x):
-        return p_out(apply(p_in(x)))
-
-    def unit(i, j):
-        e = np.zeros((d_in, d_in), dtype=complex)
-        e[i, j] = 1.0
-        return e
-
-    blocks = [[None] * d_in for _ in range(d_in)]
-    for i in range(d_in):
-        blocks[i][i] = m(unit(i, i))
-        for j in range(i + 1, d_in):
-            m1 = m(unit(i, j) + unit(j, i))
-            m2 = m(1j * (unit(i, j) - unit(j, i)))
-            blocks[i][j] = (m1 - 1j * m2) / 2
-            blocks[j][i] = (m1 + 1j * m2) / 2
-    return np.block(blocks)
-
-
 def _cp_and_pt_conjugate_cp(channel: Channel, tol: float) -> bool:
     """N and T_B' . N . T_B are both completely positive, with the partial
     transposes taken on the declared input and output bipartitions."""
@@ -243,8 +203,6 @@ def is_cpptp_instrument(instr: Instrument, tol: float = 1e-9) -> bool:
 def instrument_outcomes(instr: Instrument, rho) -> list[tuple[float, BipartiteState]]:
     """Outcome probabilities and post-measurement states; near-zero-probability
     branches are dropped after the total probability has been verified."""
-    from .states import as_state
-
     rho = as_state(rho)
     if rho.dims != instr.dims_in:
         raise InvalidStateError(

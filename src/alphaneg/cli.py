@@ -29,7 +29,13 @@ from .errors import (
     OutOfDomainError,
     UnsupportedMapError,
 )
-from .channels import bosonic_value, channel_e_alpha, load_channel, werner_holevo_value
+from .channels import (
+    bosonic_value,
+    channel_e_alpha,
+    load_channel,
+    werner_holevo_channel,
+    werner_holevo_value,
+)
 from .pptgeom import project_ppt
 from .resource import r_alpha, resolve_map
 from .solver import SolverConfig, alpha_sweep, audit_monotonicity, e_alpha, e_kappa
@@ -354,8 +360,6 @@ def cmd_repro(args) -> int:
         failures += 0 if ok else 1
 
     elif args.name == "werner-holevo":
-        from .channels import werner_holevo_channel
-
         rows = []
         for d in (2, 3):
             for p in (0.0, 0.25, 0.5, 0.75, 1.0):

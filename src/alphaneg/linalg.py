@@ -36,6 +36,9 @@ HERMITICITY_TOL = 1e-9
 # leaves a relative margin for the rounding of the two norm routines.
 _PRETEST_MIN_BOUND = 1e-100
 _PRETEST_MARGIN = 1 - 1e-12
+# Above this entry size check_hermitian tests M scaled by a power of two, since
+# LAPACK's SVD overflows on entries near the float limit.
+_RESCALE_ABOVE = 2.0**512
 
 
 @dataclass(frozen=True)
@@ -82,19 +85,29 @@ def check_hermitian(M: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     Every other matrix gets the two-SVD test, so the accepted set, the error
     and the returned bits are those of the SVD test alone.  Non-finite
     entries are rejected first, and a NaN norm (M - M^dag overflowing) fails
-    the SVD test.
+    the SVD test.  When the largest real or imaginary part exceeds 2**512,
+    both stages run on M * 2**-e, with e its binary exponent: the scaling is
+    exact and the rule is relative, so the decision is unchanged, where the
+    unscaled SVD could overflow to inf and accept.  The returned matrix is
+    always herm_part(M).
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NonHermitianError(f"expected a square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise NonHermitianError("matrix has non-finite entries")
-    A = M - M.conj().T
-    bound = tol * frob_norm(M) / math.sqrt(max(M.shape[0], 1))
+    T, fro = M, frob_norm(M)
+    if not fro <= _RESCALE_ABOVE:  # ||M||_F bounds every entry, and may be inf
+        peak = max(float(np.abs(M.real).max()), float(np.abs(M.imag).max()))
+        if peak > _RESCALE_ABOVE:
+            T = M * 2.0 ** -math.frexp(peak)[1]
+            fro = frob_norm(T)
+    A = T - T.conj().T
+    bound = tol * fro / math.sqrt(max(T.shape[0], 1))
     # written so that a NaN or infinite bound falls through to the SVD test
     if _PRETEST_MIN_BOUND <= bound < math.inf and frob_norm(A) <= _PRETEST_MARGIN * bound:
         return herm_part(M)
-    if not op_norm(A) <= tol * max(op_norm(M), 1e-300):
+    if not op_norm(A) <= tol * max(op_norm(T), 1e-300):
         raise NonHermitianError(
             f"matrix is not Hermitian within tolerance {tol:g}"
         )
@@ -159,6 +172,35 @@ def partial_trace(M: np.ndarray, dims: BipartitionDims, subsystem: str = "B") ->
     if subsystem == "A":
         return np.einsum("abad->bd", tens)
     raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+
+
+def _conjugated_choi(apply, p_in, p_out, d_in: int) -> np.ndarray:
+    """Choi matrix sum_ij |i><j| (x) (P_out . N . P_in)(|i><j|), reference first.
+
+    N is ``apply``; the maps P_in and P_out act on the input and output
+    spaces.  They are trusted on Hermitian inputs only, so the composite M is
+    applied to the Hermitian basis E_ii, H1 = E_ij + E_ji, H2 = i(E_ij - E_ji)
+    (i < j) alone.  The image of E_ij is then (M(H1) - i M(H2)) / 2, the
+    unique complex-linear extension of the Hermiticity-preserving map M.
+    """
+
+    def m(x):
+        return p_out(apply(p_in(x)))
+
+    def unit(i, j):
+        e = np.zeros((d_in, d_in), dtype=complex)
+        e[i, j] = 1.0
+        return e
+
+    blocks = [[None] * d_in for _ in range(d_in)]
+    for i in range(d_in):
+        blocks[i][i] = m(unit(i, i))
+        for j in range(i + 1, d_in):
+            m1 = m(unit(i, j) + unit(j, i))
+            m2 = m(1j * (unit(i, j) - unit(j, i)))
+            blocks[i][j] = (m1 - 1j * m2) / 2
+            blocks[j][i] = (m1 + 1j * m2) / 2
+    return np.block(blocks)
 
 
 def hermitian_eig(H: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:

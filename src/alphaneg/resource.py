@@ -19,8 +19,8 @@ maps without them are rejected rather than approximated.
 An instrument is free when P . N . P is completely positive for each element
 N: then N maps free states to free states, so the measure cannot increase on
 average (for P = T_B this is the completely-PPT-preserving condition).  The
-check uses the one conjugated Choi builder of ``channels``, and the channel
-measure uses its one multi-start search.
+check uses the one conjugated Choi builder, ``linalg._conjugated_choi``, and
+the channel measure uses the one multi-start search of ``channels``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import _conjugated_choi, _multistart_search, choi_of, instrument_outcomes
+from .channels import _multistart_search, choi_of, instrument_outcomes
 from .divergence import check_alpha
 from .errors import (
     CommutationFailedError,
@@ -40,6 +40,7 @@ from .errors import (
 )
 from .linalg import (
     BipartitionDims,
+    _conjugated_choi,
     check_hermitian,
     frob_norm,
     herm_part,

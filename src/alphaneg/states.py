@@ -21,8 +21,8 @@ from .errors import InvalidStateError
 from .linalg import (
     BipartitionDims,
     check_hermitian,
-    partial_trace,
     partial_transpose,
+    permute_subsystems,
     tensor,
 )
 
@@ -186,8 +186,6 @@ def tripartite_marginal(psi: PureState, keep: tuple[int, int]) -> BipartiteState
     d_i, d_j = psi.dims[order[0]], psi.dims[order[1]]
     m = reduced.reshape(d_i * d_j, d_i * d_j)
     if order != [i, j]:
-        from .linalg import permute_subsystems
-
         m = permute_subsystems(m, (d_i, d_j), (1, 0))
         d_i, d_j = d_j, d_i
     return BipartiteState(BipartitionDims(psi.dims[i], psi.dims[j]), m)
@@ -198,8 +196,6 @@ def one_vs_rest(psi: PureState, first: int = 0) -> BipartiteState:
     if len(psi.dims) != 3:
         raise ValueError(f"expected a tripartite state, got dims {psi.dims}")
     rest = [i for i in range(3) if i != first]
-    from .linalg import permute_subsystems
-
     rho = psi.density()
     perm = [first] + rest
     m = permute_subsystems(rho, psi.dims, perm)
@@ -323,19 +319,9 @@ def save_state(path, state: BipartiteState) -> None:
 
 def product_state(rho: BipartiteState, omega: BipartiteState) -> BipartiteState:
     """Tensor product regrouped to the (A1 A2):(B1 B2) bipartition."""
-    from .linalg import permute_subsystems
-
     m = tensor(rho.matrix, omega.matrix)
     dims4 = (rho.dims.dA, rho.dims.dB, omega.dims.dA, omega.dims.dB)
     m = permute_subsystems(m, dims4, (0, 2, 1, 3))
     return BipartiteState(
         BipartitionDims(rho.dims.dA * omega.dims.dA, rho.dims.dB * omega.dims.dB), m
-    )
-
-
-def reduced_states(rho: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
-    """Marginals (Tr_B rho, Tr_A rho)."""
-    return (
-        partial_trace(rho.matrix, rho.dims, "B"),
-        partial_trace(rho.matrix, rho.dims, "A"),
     )

@@ -28,11 +28,7 @@ from .divergence import (
 from .errors import NotConvergedError
 from .linalg import BipartitionDims, herm_part, schatten_norm
 from .solver import DEFAULT_CONFIG, SolverConfig, e_alpha, e_kappa
-from .states import (
-    cq_assemble,
-    product_state,
-    random_state,
-)
+from .states import cq_assemble, ppt_membership, product_state, random_state
 
 ALPHA_GRID = (1.0, 1.5, 2.0, 5.0, math.inf)
 
@@ -390,8 +386,6 @@ def subadditivity_suite(
 
 def faithfulness_suite(seed: int = 0, instances: int = 20, cfg: SolverConfig | None = None) -> SuiteReport:
     """Positive exactly on NPT states, zero exactly on PPT states."""
-    from .states import ppt_membership
-
     cfg = _suite_cfg(cfg)
     rng = np.random.default_rng(seed)
     worst = math.inf

@@ -11,7 +11,6 @@ from alphaneg.channels import (
     Instrument,
     KrausChannel,
     SuperOperator,
-    _conjugated_choi,
     bosonic_value,
     channel_e_alpha,
     channel_from_json,
@@ -28,7 +27,13 @@ from alphaneg.channels import (
     werner_holevo_value,
 )
 from alphaneg.errors import CommutationFailedError, OutOfDomainError
-from alphaneg.linalg import BipartitionDims, partial_transpose, subsystem_transpose, tensor
+from alphaneg.linalg import (
+    BipartitionDims,
+    _conjugated_choi,
+    partial_transpose,
+    subsystem_transpose,
+    tensor,
+)
 from alphaneg.resource import builtin_map, free_instrument_monotonicity_check
 from alphaneg.solver import DEFAULT_CONFIG
 from alphaneg.states import max_entangled, ppt_membership, random_state, swap_operator, werner_state

@@ -1,9 +1,12 @@
-"""Every name a package module imports is used by that module.
+"""Every name a package module imports is used by that module, and no
+function imports from a package module the module already imports from.
 
 A stand-in for a lint step: each ``src/alphaneg/*.py`` except the package
 ``__init__`` (which re-exports) is parsed with ``ast``, and every name bound
 by an import statement must be referenced somewhere else in the module, as a
-plain name, the root of an attribute chain, or an entry of ``__all__``.
+plain name, the root of an attribute chain, or an entry of ``__all__``.  A
+function-local ``from .mod import ...`` is needless when the module already
+imports from ``.mod`` at top level, since then no import cycle needs it.
 """
 
 import ast
@@ -40,6 +43,25 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def _needless_local_imports(tree: ast.Module) -> list[str]:
+    """Relative imports below top level from a module that the top level
+    already imports from."""
+    top = {(n.level, n.module) for n in tree.body if isinstance(n, ast.ImportFrom)}
+    top_ids = {id(n) for n in tree.body}
+    local = [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom)
+        and n.level
+        and id(n) not in top_ids
+        and (n.level, n.module) in top
+    ]
+    return [
+        f"from {'.' * n.level}{n.module or ''} import ... (line {n.lineno})"
+        for n in sorted(local, key=lambda n: n.lineno)
+    ]
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -60,3 +82,25 @@ def test_checker_flags_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\nx = pi\n")
     unused = set(_imported_names(tree)) - _referenced_names(tree)
     assert unused == {"os", "tau"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_needless_local_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    needless = _needless_local_imports(tree)
+    assert not needless, (
+        f"{path.name} imports inside a function from a module it already imports "
+        f"from at top level: {', '.join(needless)}"
+    )
+
+
+def test_checker_flags_a_needless_local_import():
+    tree = ast.parse(
+        "from .a import x\n"
+        "def f():\n"
+        "    from .a import y\n"  # needless: .a is imported at top level
+        "    from .b import z\n"  # may break a cycle: .b is not
+        "    from a import w\n"  # absolute, not a package module
+        "    return x, y, z, w\n"
+    )
+    assert _needless_local_imports(tree) == ["from .a import ... (line 3)"]

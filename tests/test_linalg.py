@@ -195,9 +195,23 @@ class TestHermitianEig:
 
 def _svd_rule(m, tol):
     """Both sides of the Hermiticity rule in operator norms, by two SVDs; the
-    rule accepts when the first is <= the second."""
+    rule accepts when the first is <= the second.  LAPACK's SVD can overflow
+    on entries near the float limit, so those are scaled by 2**-600 first,
+    which is exact and leaves the relative comparison as it is."""
+    if np.abs(m).max(initial=0.0) > 2.0**600:
+        m = m * 2.0**-600
     a = m - m.conj().T
     return np.linalg.norm(a, 2), tol * max(np.linalg.norm(m, 2), 1e-300)
+
+
+def _anti_hermitian_near_float_limit(n, seed):
+    """Identity plus a seeded anti-Hermitian matrix whose largest entry
+    modulus is 8.5e307: far from Hermitian, but the unscaled SVD test
+    overflows to inf <= inf and accepts it."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = g - g.conj().T
+    return np.eye(n) + k * (8.5e307 / np.abs(k).max())
 
 
 class TestCheckHermitian:
@@ -239,6 +253,7 @@ class TestCheckHermitian:
             # the squares of the entries underflow, so both Frobenius norms are 0
             (1e-170 * np.array([[1j, 1], [-1, 2j]]), False),
             (np.array([[1.0, 1e-6], [0.0, 1.0]], dtype=complex), False),
+            (_anti_hermitian_near_float_limit(4, 4010), False),
         ],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

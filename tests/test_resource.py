@@ -11,7 +11,7 @@ from alphaneg.channels import (
     random_local_instrument,
 )
 from alphaneg.errors import CommutationFailedError, UnsupportedMapError
-from alphaneg.linalg import BipartitionDims
+from alphaneg.linalg import BipartitionDims, partial_transpose
 from alphaneg.resource import (
     PositiveMapSpec,
     _check_free_operation,
@@ -23,8 +23,8 @@ from alphaneg.resource import (
     register_map,
     resolve_map,
 )
-from alphaneg.solver import DEFAULT_CONFIG, e_alpha
-from alphaneg.states import max_entangled, ppt_membership, random_state, werner_state
+from alphaneg.solver import DEFAULT_CONFIG, e_alpha, e_kappa
+from alphaneg.states import BipartiteState, max_entangled, ppt_membership, random_state, werner_state
 
 DIMS22 = BipartitionDims(2, 2)
 FAST = dataclasses.replace(DEFAULT_CONFIG, with_bracket=False)
@@ -114,8 +114,6 @@ class TestRAlpha:
         rho = werner_state(2, 0.4)
         r = r_alpha(rho, PT22, 2.0, FAST)
         assert r.value_bits == 0.0
-        from alphaneg.linalg import partial_transpose
-
         np.testing.assert_allclose(
             r.certificate_sigma.matrix,
             partial_transpose(rho.matrix, DIMS22),
@@ -132,6 +130,29 @@ class TestRAlpha:
         assert all(v >= 0 for v in vals)
         for lo, hi in zip(vals, vals[1:]):
             assert lo <= hi + 2e-4
+
+    @pytest.mark.parametrize("seed, newton_steps", [(100, 140), (101, 144), (102, 140)])
+    def test_conjugated_partial_transpose_at_order_inf(self, seed, newton_steps):
+        # P(X) = V T_B(V^dag X V) V^dag with V a global unitary is no index
+        # permutation; sigma is free for P iff V^dag sigma V is PPT, so the
+        # order-inf value is e_kappa(V^dag rho V).  A wrong but positive
+        # definite Newton system can still reach that value, so the step
+        # count is pinned as well.
+        dims = BipartitionDims(2, 3)
+        rng = np.random.default_rng(7)
+        v, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        pmap = PositiveMapSpec(
+            apply=lambda m: v @ partial_transpose(v.conj().T @ m @ v, dims) @ v.conj().T,
+            dim=6,
+            name="conjugated_partial_transpose",
+        )
+        rho = random_state(dims, 2, seed)
+        rotated = BipartiteState(dims, v.conj().T @ rho.matrix @ v)
+        assert not ppt_membership(rotated)
+        r = r_alpha(rho, pmap, math.inf, FAST)
+        assert r.converged
+        assert abs(r.value_bits - e_kappa(rotated).value_bits) <= 1e-10
+        assert r.iterations == newton_steps
 
     def test_map_dims_must_match_state(self):
         rho = random_state(BipartitionDims(2, 3), 3, seed=206)
