@@ -38,6 +38,7 @@ from .linalg import (
     partial_trace,
     partial_transpose,
 )
+from .solver import DEFAULT_CONFIG, e_alpha
 from .states import BipartiteState, _pairs_to_matrix, _positive_ints, as_state, swap_operator
 
 _PROB_CUTOFF = 1e-8
@@ -258,7 +259,7 @@ def _multistart_search(objective, d: int, first_start: np.ndarray, cfg, with_det
     raised.
     """
     if d > 4:
-        raise ValueError("channel search is desk-scale, input dimension must be <= 4")
+        raise OutOfDomainError(f"channel search is desk-scale, input dimension must be <= 4, got {d}")
     n = d * d
     rng = np.random.default_rng(cfg.seed)
     bests = []
@@ -292,8 +293,6 @@ def channel_e_alpha(
     Searches the 2 d_A^2 real amplitude parameters with ``_multistart_search``;
     the first restart starts at the maximally entangled input.
     """
-    from .solver import DEFAULT_CONFIG, e_alpha
-
     cfg = cfg or DEFAULT_CONFIG
     d = channel.dim_in
     inner_cfg = replace(cfg, with_bracket=False)

@@ -36,6 +36,7 @@ from .channels import (
     werner_holevo_channel,
     werner_holevo_value,
 )
+from .linalg import BipartitionDims
 from .pptgeom import project_ppt
 from .resource import r_alpha, resolve_map
 from .solver import SolverConfig, alpha_sweep, audit_monotonicity, e_alpha, e_kappa
@@ -345,8 +346,6 @@ def cmd_repro(args) -> int:
         failures += _repro_table(rows, precision)
 
     elif args.name == "two-qubit-collapse":
-        from .linalg import BipartitionDims
-
         rng_seed = args.seed if args.seed is not None else 0
         worst = 0.0
         for i in range(10):

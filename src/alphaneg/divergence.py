@@ -33,6 +33,7 @@ from .linalg import (
     support_leq,
     support_projector,
 )
+from .states import as_state
 
 INF = math.inf
 
@@ -132,8 +133,6 @@ def weighted_norm(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
 
 def log_negativity(rho) -> float:
     """log2 of the trace norm of the partial transpose of a bipartite state."""
-    from .states import as_state
-
     rho = as_state(rho)
     pt = partial_transpose(rho.matrix, rho.dims, "B")
     # a valid state has trace-norm >= 1 after partial transposition; clamp the
@@ -147,8 +146,6 @@ def binegativity_psd(rho, tol: float = 1e-9) -> bool:
     States with this property have one common value for the whole measure
     family (pure states, two-qubit states, Werner states among them).
     """
-    from .states import as_state
-
     rho = as_state(rho)
     pt = partial_transpose(rho.matrix, rho.dims, "B")
     w, v = hermitian_eig(pt)

@@ -43,7 +43,8 @@ class CommutationFailedError(AlphanegError):
 
 
 class OutOfDomainError(AlphanegError):
-    """Closed-form parameter outside its stated domain."""
+    """Parameter outside the domain a routine supports: a closed-form family's
+    stated range, or an input dimension beyond a search's scale."""
 
 
 class NotConvergedError(AlphanegError):

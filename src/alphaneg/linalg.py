@@ -203,6 +203,22 @@ def _conjugated_choi(apply, p_in, p_out, d_in: int) -> np.ndarray:
     return np.block(blocks)
 
 
+def _permutation_of(P: np.ndarray) -> np.ndarray | None:
+    """The index array perm with P[perm[j], j] == 1 when the square matrix P
+    is exactly a permutation matrix (one entry exactly 1 in each column, each
+    row hit once, every other entry exactly 0); None for any other matrix.
+
+    For such P, (P^H M P)[i, j] == M[perm[i], perm[j]].
+    """
+    n = P.shape[0]
+    if P.shape != (n, n) or np.count_nonzero(P) != n:
+        return None
+    perm = np.argmax(P != 0, axis=0)
+    if not np.all(P[perm, np.arange(n)] == 1) or np.unique(perm).size != n:
+        return None
+    return perm
+
+
 def hermitian_eig(H: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, v) of a (tolerantly) Hermitian matrix, as
     ``numpy.linalg.eigh`` returns it: ascending eigenvalues and the unitary

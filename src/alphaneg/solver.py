@@ -16,7 +16,10 @@ Three routes, one value scale (bits, log base 2):
   by a self-contained log-det barrier method with damped Newton centering.
   Each Newton step is one D^2 x D^2 linear system in row-major vec form,
   assembled from Kronecker products of the block inverses and the map's
-  matrix, which is built once per solve.
+  matrix, which is built once per solve.  When that matrix is exactly a
+  permutation (the partial transpose, or any other index reordering) the two
+  products with it are replaced by one gather of the same entries, which
+  gives the same bits.
 
 Both cores take the map as a callable, so they serve any positive map.  The
 branching between the routes, the PPT short-circuit and the bracket audit
@@ -50,6 +53,7 @@ from .errors import (
 from .linalg import (
     BipartitionDims,
     _conjugated_choi,
+    _permutation_of,
     _power_gradient_from_eig,
     check_hermitian,
     frob_norm,
@@ -364,11 +368,20 @@ def _kappa_core(
     and maps Hermitian vecs to Hermitian vecs, so Delta is Hermitian.  Pm is
     built once per solve, from the map's images of the D^2 Hermitian units,
     so the map is applied D^2 times per solve and never inside the loop.
+
+    When Pm is exactly a permutation matrix, Pm[perm[j], j] == 1 with every
+    other entry 0, then (Pm^H M Pm)[i, j] = M[perm[i], perm[j]], and the two
+    D^2 x D^2 products are replaced by that gather.  The gather is exact: each
+    entry of the products is one term times 1 plus terms times 0, so both
+    routes give the same system, the same solve and the same bits.  Any other
+    map, a monomial matrix with phases included, takes the products.
     """
     D = X.shape[0]
     J = _conjugated_choi(lambda m: m, lambda m: m, apply_map, D)
     Pm = J.reshape(D, D, D, D).transpose(1, 3, 0, 2).reshape(D * D, D * D)
     PmH = Pm.conj().T
+    perm = _permutation_of(Pm)
+    flat = None if perm is None else perm[:, None] * (D * D) + perm
     eye = np.eye(D, dtype=complex)
 
     S = (2.0 * op_norm(X) + 0.5) * eye
@@ -396,7 +409,8 @@ def _kappa_core(
             inv1, inv2, inv3 = (np.linalg.inv(b) for b in blocks(S))
             g = (t * eye - apply_map(inv1 + inv2) - inv3).reshape(-1)
             K1, K2, K3 = (np.kron(inv, inv.T) for inv in (inv1, inv2, inv3))
-            H = PmH @ (K1 + K2) @ Pm + K3
+            K12 = K1 + K2
+            H = (PmH @ K12 @ Pm if flat is None else np.take(K12, flat)) + K3
             try:
                 delta = np.linalg.solve(H, -g)
             except np.linalg.LinAlgError:

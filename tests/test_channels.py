@@ -270,7 +270,7 @@ class TestChannelMeasure:
         assert len(details["restart_values"]) == 3
 
     def test_rejects_large_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfDomainError):
             channel_e_alpha(identity_channel(5), 2.0, FAST)
 
 

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from alphaneg.cli import EXIT_INVALID, EXIT_OK, main
+from alphaneg.channels import werner_holevo_channel
+from alphaneg.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSUPPORTED, main
 from alphaneg.states import load_state, save_state, werner_state
 
 
@@ -98,3 +99,23 @@ def test_file_that_is_not_utf8_json_exits_invalid(tmp_path, command):
     path = tmp_path / "binary.json"
     path.write_bytes(b"\xff\xfe\x00bad")
     assert main([command, str(path)]) == EXIT_INVALID
+
+
+def test_channel_beyond_search_scale_exits_unsupported(tmp_path, capsys):
+    # the channel search runs up to input dimension 4; a 5-dim file is out of
+    # its domain and must fail as such, not with a traceback
+    m = werner_holevo_channel(0.5, 5).matrix
+    path = tmp_path / "wh5.json"
+    payload = {
+        "kind": "superop",
+        "dims_in": [5],
+        "dims_out": [5],
+        "data": [[[z.real, z.imag] for z in row] for row in m],
+    }
+    path.write_text(json.dumps(payload))
+    assert main(["channel", str(path)]) == EXIT_UNSUPPORTED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "input dimension must be <= 4" in captured.err
+    assert "Traceback" not in captured.err

@@ -13,6 +13,8 @@ from alphaneg.errors import (
 from alphaneg.linalg import (
     HERMITICITY_TOL,
     BipartitionDims,
+    _conjugated_choi,
+    _permutation_of,
     _power_gradient_from_eig,
     check_hermitian,
     herm_part,
@@ -420,3 +422,67 @@ def test_permute_subsystems_round_trip(rng):
     fwd = permute_subsystems(m, dims, (2, 0, 1))
     back = permute_subsystems(fwd, (2, 2, 3), (1, 2, 0))
     np.testing.assert_allclose(back, m, atol=1e-14)
+
+
+def _map_matrix(apply_map, d):
+    """D^2 x D^2 matrix of a linear map on row-major vec, built as the
+    barrier core builds it."""
+    J = _conjugated_choi(lambda m: m, lambda m: m, apply_map, d)
+    return J.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+
+
+def _unitary(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+class TestPermutationOf:
+    @pytest.mark.parametrize("subsystem", ["A", "B"])
+    @pytest.mark.parametrize("dA, dB", [(dA, dB) for dA in (1, 2, 3) for dB in (2, 3, 4)])
+    def test_partial_transpose_is_a_permutation(self, rng, dA, dB, subsystem):
+        dims = BipartitionDims(dA, dB)
+        Pm = _map_matrix(lambda m: partial_transpose(m, dims, subsystem), dims.total)
+        perm = _permutation_of(Pm)
+        assert perm is not None
+        assert sorted(perm) == list(range(dims.total**2))
+        # the products with the permutation matrix only reorder entries, bit
+        # for bit
+        n = dims.total**2
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert np.array_equal(Pm.conj().T @ M @ Pm, M[np.ix_(perm, perm)])
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_transpose_is_a_permutation(self, d):
+        perm = _permutation_of(_map_matrix(lambda m: m.T, d))
+        assert perm is not None
+        assert list(perm) == [(k % d) * d + k // d for k in range(d * d)]
+
+    def test_conjugated_partial_transpose_is_not(self, rng):
+        dims = BipartitionDims(2, 3)
+        v = _unitary(rng, 6)
+        Pm = _map_matrix(lambda m: v @ partial_transpose(v.conj().T @ m @ v, dims) @ v.conj().T, 6)
+        assert _permutation_of(Pm) is None
+
+    def test_phase_conjugated_partial_transpose_is_not(self, rng):
+        # a diagonal unitary of fourth roots of unity keeps the map's matrix
+        # exactly monomial, one nonzero entry per row and column, but with
+        # entries -1 and +-i besides 1
+        dims = BipartitionDims(2, 3)
+        v = np.diag(1j ** rng.integers(0, 4, 6))
+        Pm = _map_matrix(lambda m: v @ partial_transpose(v.conj().T @ m @ v, dims) @ v.conj().T, 6)
+        assert np.count_nonzero(Pm) == 36 and np.all(np.abs(Pm[Pm != 0]) == 1)
+        assert np.any(Pm[Pm != 0] != 1)
+        assert _permutation_of(Pm) is None
+
+    @pytest.mark.parametrize(
+        "P",
+        [
+            np.array([[1.0, 1.0], [0.0, 0.0]]),  # a row hit twice
+            np.array([[0.0, 1.0], [1.0, 1e-300]]),  # a stray nonzero
+            np.array([[0.0, -1.0], [1.0, 0.0]]),  # an entry -1
+            np.array([[np.nan, 1.0], [1.0, 0.0]]),
+            np.ones((2, 3)),
+        ],
+    )
+    def test_rejects_near_permutations(self, P):
+        assert _permutation_of(P) is None

@@ -7,6 +7,7 @@ import pytest
 from alphaneg.divergence import binegativity_psd, log_negativity, mu_alpha
 from alphaneg.errors import NotPositiveDefiniteError
 from alphaneg.linalg import BipartitionDims, partial_transpose
+from alphaneg import solver
 from alphaneg.pptgeom import regularize
 from alphaneg.solver import (
     DEFAULT_CONFIG,
@@ -170,6 +171,21 @@ class TestEKappa:
         s_pt = partial_transpose(s_opt, DIMS22)
         for block in (s_pt - x, s_pt + x, s_opt):
             assert np.linalg.eigvalsh(block)[0] >= -1e-8
+
+    @pytest.mark.parametrize("dims", [BipartitionDims(2, 3), BipartitionDims(3, 3)])
+    def test_permutation_gather_matches_dense_newton_system(self, monkeypatch, dims):
+        # T_B's matrix is a permutation, so the core gathers the Newton
+        # system; forcing the dense products must give the same bits
+        rho = random_npt(dims, 5)
+        x = partial_transpose(rho.matrix, dims)
+        pt = lambda m: partial_transpose(m, dims, "B")
+        trace, s_mat, steps, converged = solver._kappa_core(x, pt)
+        monkeypatch.setattr(solver, "_permutation_of", lambda Pm: None)
+        dense = solver._kappa_core(x, pt)
+        assert converged and dense[3]
+        assert trace.hex() == dense[0].hex()
+        assert np.array_equal(s_mat, dense[1])
+        assert steps == dense[2]
 
 
 class TestBracket:
