@@ -19,7 +19,10 @@ Three routes, one value scale (bits, log base 2):
   matrix, which is built once per solve.  When that matrix is exactly a
   permutation (the partial transpose, or any other index reordering) the two
   products with it are replaced by one gather of the same entries, which
-  gives the same bits.
+  gives the same bits.  The Kronecker terms and the system are written into
+  three D^2 x D^2 buffers allocated once per solve, with the same elementwise
+  products and sums as fresh arrays would hold, so no step allocates at the
+  D^4 scale and the bits are again the same.
 
 Both cores take the map as a callable, so they serve any positive map.  The
 branching between the routes, the PPT short-circuit and the bracket audit
@@ -347,6 +350,16 @@ def _chol_logdet(A: np.ndarray):
     return True, 2.0 * float(np.sum(np.log(np.diag(L).real)))
 
 
+def _kron_into(inv: np.ndarray, out: np.ndarray) -> None:
+    """Write inv (x) inv^T into the D^2 x D^2 buffer ``out``.
+
+    These are the elementwise products ``np.kron(inv, inv.T)`` forms, with the
+    same operands and strides, so the entries are the same bits.
+    """
+    D = inv.shape[0]
+    np.multiply(inv[:, None, :, None], inv.T[None, :, None, :], out=out.reshape(D, D, D, D))
+
+
 def _kappa_core(
     X: np.ndarray,
     apply_map: Callable[[np.ndarray], np.ndarray],
@@ -375,13 +388,29 @@ def _kappa_core(
     entry of the products is one term times 1 plus terms times 0, so both
     routes give the same system, the same solve and the same bits.  Any other
     map, a monomial matrix with phases included, takes the products.
+
+    Three D^2 x D^2 buffers A, B, H are allocated once per solve.  Each step
+    writes K1 into A and K2 into B, adds B into A, writes K3 into B, and then
+    forms H from A (by the gather or the two products, the second of which
+    lands back in A) plus B.  ``_kron_into`` forms the same products as
+    ``np.kron``, and every sum and product has the same operands in the same
+    order as with fresh arrays, so the buffers change no bit.  Delta and S are
+    always fresh arrays, never views of a buffer.
     """
     D = X.shape[0]
-    J = _conjugated_choi(lambda m: m, lambda m: m, apply_map, D)
-    Pm = J.reshape(D, D, D, D).transpose(1, 3, 0, 2).reshape(D * D, D * D)
-    PmH = Pm.conj().T
+    Pm = (
+        _conjugated_choi(lambda m: m, lambda m: m, apply_map, D)
+        .reshape(D, D, D, D)
+        .transpose(1, 3, 0, 2)
+        .reshape(D * D, D * D)
+    )
     perm = _permutation_of(Pm)
-    flat = None if perm is None else perm[:, None] * (D * D) + perm
+    if perm is None:
+        PmH = Pm.conj().T
+    else:
+        flat = perm[:, None] * (D * D) + perm
+        del Pm
+    A, B, H = (np.empty((D * D, D * D), dtype=complex) for _ in range(3))
     eye = np.eye(D, dtype=complex)
 
     S = (2.0 * op_norm(X) + 0.5) * eye
@@ -408,9 +437,18 @@ def _kappa_core(
         for _ in range(_BARRIER_MAX_NEWTON):
             inv1, inv2, inv3 = (np.linalg.inv(b) for b in blocks(S))
             g = (t * eye - apply_map(inv1 + inv2) - inv3).reshape(-1)
-            K1, K2, K3 = (np.kron(inv, inv.T) for inv in (inv1, inv2, inv3))
-            K12 = K1 + K2
-            H = (PmH @ K12 @ Pm if flat is None else np.take(K12, flat)) + K3
+            _kron_into(inv1, A)
+            _kron_into(inv2, B)
+            A += B
+            _kron_into(inv3, B)
+            if perm is None:
+                np.matmul(PmH, A, out=H)
+                np.matmul(H, Pm, out=A)
+                np.add(A, B, out=H)
+            else:
+                # mode="raise" would buffer the output; flat is in range
+                np.take(A, flat, out=H, mode="wrap")
+                H += B
             try:
                 delta = np.linalg.solve(H, -g)
             except np.linalg.LinAlgError:

@@ -31,13 +31,13 @@ from alphaneg.linalg import (
     BipartitionDims,
     _conjugated_choi,
     partial_transpose,
-    subsystem_transpose,
     tensor,
 )
 from alphaneg.resource import builtin_map, free_instrument_monotonicity_check
 from alphaneg.solver import DEFAULT_CONFIG
 from alphaneg.states import max_entangled, ppt_membership, random_state, swap_operator, werner_state
 
+from _reference import subsystem_transpose
 from conftest import DIMS, JSON, MATRIX, corrupted
 
 DIMS22 = BipartitionDims(2, 2)

@@ -25,12 +25,12 @@ from alphaneg.linalg import (
     permute_subsystems,
     psd_project,
     schatten_norm,
-    subsystem_transpose,
     support_leq,
     tensor,
 )
 from alphaneg.states import max_entangled
 
+from _reference import subsystem_transpose
 from conftest import random_hermitian, random_pd, random_psd
 
 DIMS22 = BipartitionDims(2, 2)

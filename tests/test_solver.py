@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,10 +173,11 @@ class TestEKappa:
         for block in (s_pt - x, s_pt + x, s_opt):
             assert np.linalg.eigvalsh(block)[0] >= -1e-8
 
-    @pytest.mark.parametrize("dims", [BipartitionDims(2, 3), BipartitionDims(3, 3)])
+    @pytest.mark.parametrize("dims", [BipartitionDims(2, 3), BipartitionDims(3, 3), BipartitionDims(4, 4)])
     def test_permutation_gather_matches_dense_newton_system(self, monkeypatch, dims):
         # T_B's matrix is a permutation, so the core gathers the Newton
-        # system; forcing the dense products must give the same bits
+        # system; forcing the dense products must give the same bits.  At 4x4
+        # the buffers are the 1 MB ones of the benchmark's kappa states.
         rho = random_npt(dims, 5)
         x = partial_transpose(rho.matrix, dims)
         pt = lambda m: partial_transpose(m, dims, "B")
@@ -186,6 +188,40 @@ class TestEKappa:
         assert trace.hex() == dense[0].hex()
         assert np.array_equal(s_mat, dense[1])
         assert steps == dense[2]
+
+
+    def test_newton_system_allocates_no_per_step_arrays(self):
+        # the Newton system lives in three D^4-entry buffers per solve; six
+        # such arrays (6 MB at D = 16) would mean per-step temporaries again
+        dims = BipartitionDims(4, 4)
+        rho = random_state(dims, 3, 11)
+        x = partial_transpose(rho.matrix, dims)
+        pt = lambda m: partial_transpose(m, dims, "B")
+        tracemalloc.start()
+        try:
+            _, _, steps, converged = solver._kappa_core(x, pt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert converged and steps > 100
+        assert peak < 6 * dims.total**4 * 16
+
+
+class TestKronInto:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_same_bits_as_kron(self, rng, d):
+        buf = np.full((d * d, d * d), np.nan + 1j * np.inf)
+        g = rng.standard_normal((d, d))
+        inputs = {
+            "complex": g + 1j * rng.standard_normal((d, d)),
+            "real": g,
+            "transposed view": (g + 1j * rng.standard_normal((d, d))).T,
+        }
+        for kind, inv in inputs.items():
+            # buf keeps the previous kind's entries: every entry is rewritten
+            solver._kron_into(inv, buf)
+            expected = np.kron(inv, inv.T).astype(complex)
+            assert np.array_equal(buf.view(float), expected.view(float)), kind
 
 
 class TestBracket:
