@@ -49,10 +49,8 @@ from .solver import (
 )
 from .states import (
     BipartiteState,
-    CqState,
     PureState,
     cq_assemble,
-    cq_build,
     load_state,
     max_entangled,
     no_convexity_fixture,

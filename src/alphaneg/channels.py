@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize
 
-from .errors import InvalidStateError, NotConvergedError, NotCpptpError, OutOfDomainError
+from .errors import InvalidStateError, NotCpptpError, OutOfDomainError
 from .linalg import (
     BipartitionDims,
     _conjugated_choi,
@@ -263,7 +263,7 @@ def _multistart_search(objective, d: int, first_start: np.ndarray, cfg, with_det
     n = d * d
     rng = np.random.default_rng(cfg.seed)
     bests = []
-    for restart in range(max(1, cfg.restarts)):
+    for restart in range(cfg.restarts):
         x0 = first_start if restart == 0 else rng.standard_normal(2 * n)
         res = optimize.minimize(
             objective,
@@ -305,10 +305,7 @@ def channel_e_alpha(
             return 1e6
         try:
             state = channel_output_state(channel, psi / norm)
-            try:
-                return -e_alpha(state, alpha, inner_cfg).value_bits
-            except NotConvergedError as exc:
-                return -exc.result.value_bits if exc.result else 1e6
+            return -e_alpha(state, alpha, inner_cfg).value_bits
         except InvalidStateError:
             return 1e6
 

@@ -39,7 +39,7 @@ from .channels import (
 from .linalg import BipartitionDims
 from .pptgeom import project_ppt
 from .resource import r_alpha, resolve_map
-from .solver import SolverConfig, alpha_sweep, audit_monotonicity, e_alpha, e_kappa
+from .solver import SolverConfig, alpha_sweep, audit_monotonicity, e_alpha
 from .states import (
     load_state,
     max_entangled,
@@ -139,7 +139,6 @@ def _print_result(result, precision: int) -> None:
 
 
 def cmd_compute(args) -> int:
-    cfg = _config_from_args(args)
     try:
         state = load_state(args.state)
     except _STATE_FILE_ERRORS as exc:
@@ -148,42 +147,18 @@ def cmd_compute(args) -> int:
     try:
         if args.map is not None:
             pmap = resolve_map(args.map, state.dims)
-            result = r_alpha(state, pmap, args.alpha, cfg)
+            result = r_alpha(state, pmap, args.alpha, args.cfg)
         else:
-            result = e_alpha(state, args.alpha, cfg)
+            result = e_alpha(state, args.alpha, args.cfg)
     except UnsupportedMapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except NotConvergedError as exc:
-        if exc.result is None:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_UNCONVERGED
-        _print_result(exc.result, args.precision)
-        return EXIT_UNCONVERGED
-    _print_result(result, args.precision)
-    return EXIT_OK if result.converged else EXIT_UNCONVERGED
-
-
-def cmd_kappa(args) -> int:
-    cfg = _config_from_args(args)
-    try:
-        state = load_state(args.state)
-    except _STATE_FILE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        result = e_kappa(state, cfg)
-    except NotConvergedError as exc:
-        if exc.result is not None:
-            _print_result(exc.result, args.precision)
-        return EXIT_UNCONVERGED
     _print_result(result, args.precision)
     return EXIT_OK if result.converged else EXIT_UNCONVERGED
 
 
 def cmd_sweep(args) -> int:
     started = time.time()
-    cfg = _config_from_args(args)
     try:
         state = load_state(args.state)
         alphas = _sweep_orders(args)
@@ -191,7 +166,7 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    results = alpha_sweep(state, alphas, cfg)
+    results = alpha_sweep(state, alphas, args.cfg)
     out_path = Path(args.out)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -210,7 +185,7 @@ def cmd_sweep(args) -> int:
                 ]
             )
     _write_manifest(out_path, args, started, {"alphas": [str(a) for a in alphas]})
-    violations = audit_monotonicity(results, cfg.value_tol)
+    violations = audit_monotonicity(results, args.cfg.value_tol)
     if violations:
         print(
             f"ordering audit: {len(violations)} violation(s) at row pairs {violations}",
@@ -251,7 +226,6 @@ def _parse_family(spec: str):
 
 
 def cmd_channel(args) -> int:
-    cfg = _config_from_args(args)
     try:
         if args.family:
             name, params = _parse_family(args.family)
@@ -273,7 +247,7 @@ def cmd_channel(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    value, details = channel_e_alpha(channel, args.alpha, cfg, with_details=True)
+    value, details = channel_e_alpha(channel, args.alpha, args.cfg, with_details=True)
     print(f"value_bits: {_fmt(value, args.precision)}")
     if details["dispersion_flag"]:
         print(
@@ -298,7 +272,7 @@ def _repro_table(rows, precision: int) -> int:
 
 
 def cmd_repro(args) -> int:
-    cfg = dataclasses.replace(_config_from_args(args), with_bracket=False)
+    cfg = dataclasses.replace(args.cfg, with_bracket=False)
     precision = args.precision
     alphas = (1.0, 2.0, math.inf)
     failures = 0
@@ -379,10 +353,9 @@ def cmd_repro(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _config_from_args(args)
     seed = args.seed if args.seed is not None else 0
     try:
-        reports = run_suite(args.suite, seed, cfg, smoke=args.smoke)
+        reports = run_suite(args.suite, seed, args.cfg, smoke=args.smoke)
     except KeyError:
         print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
         return EXIT_INVALID
@@ -426,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kappa", help="semidefinite max endpoint of a state file")
     p.add_argument("state", type=Path)
     common(p, seed=False, max_iter=False)
-    p.set_defaults(func=cmd_kappa)
+    p.set_defaults(func=cmd_compute, alpha=math.inf, map=None)
 
     p = sub.add_parser("sweep", help="values over a grid of orders, to CSV")
     p.add_argument("state", type=Path)
@@ -478,13 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.cfg = _config_from_args(args)
+    except ValueError as exc:  # SolverConfig rejected --tol or --max-iter
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    try:
         return args.func(args)
     except AlphanegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (UnsupportedMapError, OutOfDomainError)):
             return EXIT_UNSUPPORTED
-        if isinstance(exc, NotConvergedError):
-            return EXIT_UNCONVERGED
         return EXIT_INVALID
 
 

@@ -48,13 +48,13 @@ class OutOfDomainError(AlphanegError):
 
 
 class NotConvergedError(AlphanegError):
-    """Iterative routine exhausted its budget.
+    """A Dykstra projection exhausted its cycle budget.
 
-    Carries the best partial result so callers can still report a value.
+    Carries the last iterate and its residual.  Measure solves never raise
+    it: they report an exhausted budget in ``MeasureResult``.
     """
 
-    def __init__(self, message, result=None, iterate=None, residual=None):
+    def __init__(self, message, iterate=None, residual=None):
         super().__init__(message)
-        self.result = result
         self.iterate = iterate
         self.residual = residual

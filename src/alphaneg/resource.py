@@ -5,9 +5,10 @@ measure is the infimum over it of the order-alpha divergence of P(rho).  This
 module holds the one measure engine, ``_measure``: the free-input
 short-circuit, the closed form at order 1, projected gradient between, the
 barrier SDP at order infinity, and the bracket audit ``_audit``.  ``r_alpha``
-validates a ``PositiveMapSpec`` and calls the engine; ``solver.e_alpha`` and
-``solver.e_kappa`` call it with the partial transpose T_B, so the
-entanglement measure is the T_B case of this one.
+validates a ``PositiveMapSpec`` and calls the engine; ``solver.e_alpha``
+calls it with the partial transpose T_B, so the entanglement measure is the
+T_B case of this one, and ``solver.e_kappa`` is ``e_alpha`` at order
+infinity.  Every outcome comes back in the ``MeasureResult``.
 
 The engine is sound exactly when P is a Hermiticity-preserving
 trace-preserving involution that is also a Frobenius isometry: then
@@ -33,11 +34,7 @@ import numpy as np
 
 from .channels import _multistart_search, choi_of, instrument_outcomes
 from .divergence import check_alpha
-from .errors import (
-    CommutationFailedError,
-    NotConvergedError,
-    UnsupportedMapError,
-)
+from .errors import CommutationFailedError, UnsupportedMapError
 from .linalg import (
     BipartitionDims,
     _conjugated_choi,
@@ -169,9 +166,11 @@ def _measure(
 
     X is P(rho) and ``lower`` the closed-form order-1 value.  A free input
     (P(rho) >= 0) short-circuits to zero; otherwise order 1 is closed form,
-    order infinity the SDP, and the orders between run projected gradient.
-    ``audit`` fills in and checks the bracket of finite-order results: the
-    public ``solver.bracket`` on the T_B path, ``_audit`` for other maps.
+    order infinity the SDP, checked against ``lower``, and the orders between
+    run projected gradient.  ``audit`` fills in and checks the bracket of
+    converged finite-order results: the public ``solver.bracket`` on the T_B
+    path, ``_audit`` for other maps.  An exhausted budget is returned, not
+    raised, with ``converged`` False and a diagnostic.
     """
     if float(np.linalg.eigvalsh(X)[0]) >= -STATE_ATOL:
         return MeasureResult(
@@ -184,7 +183,20 @@ def _measure(
             diagnostic="input is free; measure vanishes identically",
         )
     if math.isinf(alpha):
-        return _kappa_measure(rho, X, apply_map, lower, cfg)
+        trace_val, S, iters, ok = _kappa_core(X, apply_map)
+        value = math.log2(trace_val)
+        S = herm_part(S)
+        result = MeasureResult(
+            value, alpha, BipartiteState(rho.dims, S / np.trace(S).real), iters, ok, (lower, value)
+        )
+        if not ok:
+            result.diagnostic = "barrier method exhausted its stage budget"
+        elif value < lower - cfg.value_tol:
+            result.converged = False
+            result.diagnostic = (
+                f"SDP value {value:.6f} fell below the closed-form lower endpoint {lower:.6f}"
+            )
+        return result
     if alpha == 1:
         result = MeasureResult(lower, 1.0, interior_point(rho.dims), 0, True, (lower, math.inf))
     else:
@@ -194,37 +206,8 @@ def _measure(
         )
         if not ok:
             result.diagnostic = "projected gradient exhausted max_iter"
-            raise NotConvergedError(result.diagnostic, result=result)
+            return result
     audit(result)
-    return result
-
-
-def _kappa_measure(
-    rho: BipartiteState,
-    X: np.ndarray,
-    apply_map: Callable[[np.ndarray], np.ndarray],
-    lower: float,
-    cfg: SolverConfig,
-) -> MeasureResult:
-    """Order-infinity value from the barrier SDP, audited against ``lower``."""
-    trace_val, S, iters, ok = _kappa_core(X, apply_map)
-    value = math.log2(trace_val)
-    S = herm_part(S)
-    result = MeasureResult(
-        value_bits=value,
-        alpha=math.inf,
-        certificate_sigma=BipartiteState(rho.dims, S / np.trace(S).real),
-        iterations=iters,
-        converged=ok,
-        bracket=(lower, value),
-    )
-    if ok and value < lower - cfg.value_tol:
-        result.converged = False
-        result.diagnostic = (
-            f"SDP value {value:.6f} fell below the closed-form lower endpoint {lower:.6f}"
-        )
-    if not ok:
-        raise NotConvergedError("barrier method exhausted its stage budget", result=result)
     return result
 
 
@@ -319,10 +302,7 @@ def r_alpha_channel(
         if tr < 1e-12:
             return 1e6
         state = BipartiteState(out_dims, herm_part(channel.apply(gram / tr)))
-        try:
-            return -r_alpha(state, pmap, alpha, inner_cfg).value_bits
-        except NotConvergedError as exc:
-            return -exc.result.value_bits if exc.result else 1e6
+        return -r_alpha(state, pmap, alpha, inner_cfg).value_bits
 
     first = np.concatenate([np.eye(din).reshape(-1), np.zeros(n)])
     return _multistart_search(objective, din, first, cfg, with_details)

@@ -26,10 +26,12 @@ Three routes, one value scale (bits, log base 2):
 
 Both cores take the map as a callable, so they serve any positive map.  The
 branching between the routes, the PPT short-circuit and the bracket audit
-live in one engine, ``resource._measure``: ``e_alpha``, ``e_kappa`` and
-``bracket`` here are its entries for the partial transpose T_B.  Each result
-carries the sanity bracket [closed-form lower endpoint, SDP upper endpoint];
-a converged value must sit inside it up to ``value_tol``.
+live in one engine, ``resource._measure``: ``e_alpha`` and ``bracket`` here
+are its entries for the partial transpose T_B, and ``e_kappa`` is
+``e_alpha`` at order infinity.  Each result carries the sanity bracket
+[closed-form lower endpoint, SDP upper endpoint]; a converged value must sit
+inside it up to ``value_tol``.  Every outcome, an exhausted budget included,
+comes back in the ``MeasureResult``; none is raised.
 
 The optimizer state sigma* = |X| / ||X||_1 is feasible exactly when the
 partial transpose of |X| is PSD, and in that case it is optimal for every
@@ -79,8 +81,13 @@ class SolverConfig:
     restarts: int = 20
 
     def __post_init__(self):
-        if self.value_tol <= 0:
-            raise ValueError("value_tol must be positive")
+        # written so that NaN fails each check
+        if not (math.isfinite(self.value_tol) and self.value_tol > 0):
+            raise ValueError(f"value_tol must be finite and positive, got {self.value_tol}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not self.restarts >= 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -88,6 +95,16 @@ DEFAULT_CONFIG = SolverConfig()
 
 @dataclass
 class MeasureResult:
+    """Every outcome of a measure solve; no ``NotConvergedError`` is raised.
+
+    ``converged`` is False, and ``diagnostic`` says why, when projected
+    gradient exhausts ``max_iter``, when the barrier method exhausts its stage
+    budget, when a value escapes its bracket beyond ``value_tol``, or when the
+    SDP value falls below the closed-form lower endpoint; ``value_bits`` is
+    still the best value found.  A free input reads 0, converged, with a
+    diagnostic that says so.
+    """
+
     value_bits: float
     alpha: float
     certificate_sigma: BipartiteState | None
@@ -499,12 +516,8 @@ def _pt(dims: BipartitionDims) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def e_kappa(rho, cfg: SolverConfig = DEFAULT_CONFIG) -> MeasureResult:
-    """Order-infinity endpoint via the semidefinite program."""
-    from .resource import _kappa_measure
-
-    rho = as_state(rho)
-    X = partial_transpose(rho.matrix, rho.dims, "B")
-    return _kappa_measure(rho, X, _pt(rho.dims), log_negativity(rho), cfg)
+    """Order-infinity endpoint via the semidefinite program: ``e_alpha`` at inf."""
+    return e_alpha(rho, math.inf, cfg)
 
 
 def e_alpha(rho, alpha: float, cfg: SolverConfig = DEFAULT_CONFIG) -> MeasureResult:
@@ -542,14 +555,7 @@ def alpha_sweep(rho, alphas: Sequence[float], cfg: SolverConfig = DEFAULT_CONFIG
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("orders must be sorted ascending")
     rho = as_state(rho)
-    results = []
-    for a in alphas:
-        try:
-            results.append(e_alpha(rho, a, cfg))
-        except NotConvergedError as exc:
-            if exc.result is None:
-                raise
-            results.append(exc.result)
+    results = [e_alpha(rho, a, cfg) for a in alphas]
     for i, j in audit_monotonicity(results, cfg.value_tol):
         note = f"ordering audit: value at order {results[i].alpha} exceeds order {results[j].alpha}"
         results[i].diagnostic = (results[i].diagnostic + "; " + note).lstrip("; ")

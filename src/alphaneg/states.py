@@ -204,36 +204,6 @@ def one_vs_rest(psi: PureState, first: int = 0) -> BipartiteState:
     return BipartiteState(BipartitionDims(dA, dB), m)
 
 
-@dataclass(frozen=True)
-class CqState:
-    """Classical-quantum data: probabilities, positive weights, operator blocks."""
-
-    probs: np.ndarray
-    weights: np.ndarray
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        q = np.asarray(self.weights, dtype=float)
-        if p.ndim != 1 or p.shape != q.shape or len(self.blocks) != p.size:
-            raise ValueError("probs, weights and blocks must have matching lengths")
-        if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("probs must form a probability vector")
-        if np.any(q <= 0):
-            raise ValueError("weights must be entrywise positive")
-        d = self.blocks[0].shape[0]
-        for b in self.blocks:
-            if b.shape != (d, d):
-                raise ValueError("all blocks must be square with equal dimension")
-        object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "weights", q)
-
-
-def cq_build(p: Sequence[float], q: Sequence[float], blocks: Sequence[np.ndarray]) -> CqState:
-    """Validate and package classical-quantum data."""
-    return CqState(np.asarray(p, float), np.asarray(q, float), tuple(np.asarray(b, complex) for b in blocks))
-
-
 def cq_assemble(weights: Sequence[float], blocks: Sequence[np.ndarray]) -> np.ndarray:
     """Block-diagonal sum of w(x) |x><x| (x) B^x on the flag-register space."""
     weights = np.asarray(weights, dtype=float)

@@ -25,7 +25,6 @@ from .divergence import (
     mu_alpha,
     nu_alpha,
 )
-from .errors import NotConvergedError
 from .linalg import BipartitionDims, herm_part, schatten_norm
 from .solver import DEFAULT_CONFIG, SolverConfig, e_alpha, e_kappa
 from .states import cq_assemble, ppt_membership, product_state, random_state
@@ -282,15 +281,6 @@ def _mixed_dims(rng) -> BipartitionDims:
     ]
 
 
-def _value(rho, alpha, cfg) -> float:
-    try:
-        return e_alpha(rho, alpha, cfg).value_bits
-    except NotConvergedError as exc:
-        if exc.result is None:
-            raise
-        return exc.result.value_bits
-
-
 def ordering_suite(seed: int = 0, instances: int = 30, cfg: SolverConfig | None = None) -> SuiteReport:
     """Measure values are monotone along 1 <= 1.5 <= 2 <= 5 <= inf."""
     cfg = _suite_cfg(cfg)
@@ -302,7 +292,7 @@ def ordering_suite(seed: int = 0, instances: int = 30, cfg: SolverConfig | None 
         rho = random_state(dims, int(rng.integers(2, dims.total + 1)), int(rng.integers(2**31)))
         vals = [log_negativity(rho)]
         for alpha in (1.5, 2.0, 5.0):
-            vals.append(_value(rho, alpha, cfg))
+            vals.append(e_alpha(rho, alpha, cfg).value_bits)
         vals.append(e_kappa(rho, cfg).value_bits)
         for lo, hi in zip(vals, vals[1:]):
             slack = hi - lo + 2 * cfg.value_tol
@@ -340,13 +330,13 @@ def monotonicity_suite(
     worst = math.inf
     checked = violations = 0
     for alpha in alphas:
-        lhs_cache = [_value(rho, alpha, cfg) for rho in states_list]
+        lhs_cache = [e_alpha(rho, alpha, cfg).value_bits for rho in states_list]
         for instr in instruments:
             if not is_cpptp_instrument(instr):
                 raise AssertionError("local instrument generator must be PPT-preserving")
             for rho, lhs in zip(states_list, lhs_cache):
                 rhs = sum(
-                    p * _value(post, alpha, cfg)
+                    p * e_alpha(post, alpha, cfg).value_bits
                     for p, post in instrument_outcomes(instr, rho)
                 )
                 slack = lhs - rhs
@@ -374,8 +364,8 @@ def subadditivity_suite(
         omega = random_state(dims, int(rng.integers(1, 5)), int(rng.integers(2**31)))
         joint = product_state(rho, omega)
         for alpha in alphas:
-            sum_parts = _value(rho, alpha, cfg) + _value(omega, alpha, cfg)
-            whole = _value(joint, alpha, cfg)
+            sum_parts = e_alpha(rho, alpha, cfg).value_bits + e_alpha(omega, alpha, cfg).value_bits
+            whole = e_alpha(joint, alpha, cfg).value_bits
             slack = sum_parts - whole
             worst = min(worst, slack)
             checked += 1
@@ -400,7 +390,7 @@ def faithfulness_suite(seed: int = 0, instances: int = 20, cfg: SolverConfig | N
             if ppt >= instances:
                 continue
             ppt += 1
-            val = _value(rho, 2.0, cfg)
+            val = e_alpha(rho, 2.0, cfg).value_bits
             slack = -abs(val)
             checked += 1
             worst = min(worst, slack)
@@ -411,7 +401,7 @@ def faithfulness_suite(seed: int = 0, instances: int = 20, cfg: SolverConfig | N
                 continue
             npt += 1
             en = log_negativity(rho)
-            val = _value(rho, 2.0, cfg)
+            val = e_alpha(rho, 2.0, cfg).value_bits
             slack = val - en + cfg.value_tol
             checked += 1
             worst = min(worst, val - en)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from alphaneg.channels import werner_holevo_channel
-from alphaneg.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSUPPORTED, main
-from alphaneg.states import load_state, save_state, werner_state
+from alphaneg.cli import EXIT_INVALID, EXIT_OK, EXIT_UNCONVERGED, EXIT_UNSUPPORTED, main
+from alphaneg.linalg import BipartitionDims
+from alphaneg.states import load_state, random_state, save_state, werner_state
 
 
 @pytest.fixture
@@ -14,6 +15,13 @@ def ppt_state(tmp_path):
     # PPT, so every order short-circuits to zero and the sweep is instant
     path = tmp_path / "werner.json"
     save_state(path, werner_state(2, 0.4))
+    return path
+
+
+@pytest.fixture
+def npt_state(tmp_path):
+    path = tmp_path / "npt.json"
+    save_state(path, random_state(BipartitionDims(2, 2), 2, seed=1))
     return path
 
 
@@ -119,3 +127,50 @@ def test_channel_beyond_search_scale_exits_unsupported(tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert "input dimension must be <= 4" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("compute", ["--tol", "0"]),
+        ("compute", ["--tol", "-1"]),
+        ("compute", ["--tol", "nan"]),
+        ("compute", ["--max-iter", "0"]),
+        ("kappa", ["--tol", "0"]),
+        ("sweep", ["--tol", "0"]),
+        ("sweep", ["--max-iter", "-1"]),
+        ("check", ["--tol", "0"]),
+        ("channel", ["--tol", "nan"]),
+    ],
+)
+def test_bad_solver_flags_exit_invalid(ppt_state, tmp_path, capsys, command, flags):
+    args = {
+        "compute": [str(ppt_state)],
+        "kappa": [str(ppt_state)],
+        "sweep": [str(ppt_state), "--alphas", "2", "--out", str(tmp_path / "sweep.csv")],
+        "check": ["--suite", "lemmas", "--smoke"],
+        "channel": ["--family", "wh:0.5,2"],
+    }[command]
+    assert main([command, *args, *flags]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("state", ["npt_state", "ppt_state"])
+def test_kappa_is_compute_at_inf(request, capsys, state):
+    path = str(request.getfixturevalue(state))
+    code_kappa = main(["kappa", path])
+    out_kappa = capsys.readouterr().out
+    code_compute = main(["compute", path, "--alpha", "inf"])
+    assert (code_kappa, out_kappa) == (code_compute, capsys.readouterr().out)
+    assert code_kappa == EXIT_OK
+
+
+def test_compute_prints_an_unconverged_result(npt_state, capsys):
+    assert main(["compute", str(npt_state), "--max-iter", "3"]) == EXIT_UNCONVERGED
+    out = capsys.readouterr().out
+    assert "iterations: 3\n" in out
+    assert "converged: False\n" in out
+    assert "diagnostic: projected gradient exhausted max_iter" in out

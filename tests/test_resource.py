@@ -10,6 +10,8 @@ from alphaneg.channels import (
     is_cpptp_instrument,
     random_local_instrument,
 )
+from alphaneg import resource
+from alphaneg.divergence import log_negativity
 from alphaneg.errors import CommutationFailedError, UnsupportedMapError
 from alphaneg.linalg import BipartitionDims, partial_transpose
 from alphaneg.resource import (
@@ -23,7 +25,7 @@ from alphaneg.resource import (
     register_map,
     resolve_map,
 )
-from alphaneg.solver import DEFAULT_CONFIG, e_alpha, e_kappa
+from alphaneg.solver import DEFAULT_CONFIG, SolverConfig, e_alpha, e_kappa
 from alphaneg.states import BipartiteState, max_entangled, ppt_membership, random_state, werner_state
 
 DIMS22 = BipartitionDims(2, 2)
@@ -160,6 +162,59 @@ class TestRAlpha:
             r_alpha(rho, PT22, 2.0, FAST)
         with pytest.raises(UnsupportedMapError):
             free_membership(rho, PT22)
+
+
+class TestOutcomesAreReturned:
+    """The engine returns every outcome in the result and raises none."""
+
+    @pytest.fixture
+    def kappa_calls(self, monkeypatch):
+        calls = []
+        real = resource._kappa_core
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(resource, "_kappa_core", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda rho, cfg: e_alpha(rho, 2.0, cfg),
+            lambda rho, cfg: r_alpha(rho, PT22, 2.0, cfg),
+        ],
+        ids=["e_alpha", "r_alpha"],
+    )
+    def test_exhausted_max_iter(self, kappa_calls, measure):
+        rho = random_state(DIMS22, 2, seed=1)
+        assert not ppt_membership(rho)
+        r = measure(rho, SolverConfig(max_iter=3))
+        assert (r.iterations, r.converged) == (3, False)
+        assert r.diagnostic == "projected gradient exhausted max_iter"
+        assert r.bracket[0] == pytest.approx(log_negativity(rho), abs=1e-12)
+        assert r.bracket[1] == math.inf
+        assert kappa_calls == []  # the bracket audit is skipped
+
+    def test_exhausted_stage_budget(self, monkeypatch):
+        real = resource._kappa_core
+        monkeypatch.setattr(resource, "_kappa_core", lambda *a: (*real(*a)[:3], False))
+        r = e_kappa(max_entangled(2))
+        assert not r.converged
+        assert r.diagnostic == "barrier method exhausted its stage budget"
+        assert r.value_bits == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "rho",
+        [random_state(BipartitionDims(2, 3), 3, seed=206), werner_state(2, 0.3)],
+        ids=["npt", "ppt"],
+    )
+    def test_e_kappa_is_e_alpha_at_inf(self, rho):
+        rk, ra = e_kappa(rho), e_alpha(rho, math.inf)
+        assert _fingerprint(rk) == _fingerprint(ra)
+        assert rk.alpha == ra.alpha == math.inf
+        assert np.array_equal(rk.certificate_sigma.matrix, ra.certificate_sigma.matrix)
 
 
 class TestFreeInstrumentMonotonicity:

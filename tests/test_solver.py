@@ -307,6 +307,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(value_tol=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("value_tol", math.nan),
+            ("value_tol", math.inf),
+            ("max_iter", 0),
+            ("max_iter", math.nan),
+            ("restarts", 0),
+            ("restarts", math.nan),
+        ],
+    )
+    def test_rejects_invalid_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
     def test_settable_values(self):
         names = [f.name for f in dataclasses.fields(SolverConfig)]
         assert names == ["value_tol", "max_iter", "seed", "with_bracket", "restarts"]

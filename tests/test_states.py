@@ -12,7 +12,6 @@ from alphaneg.linalg import BipartitionDims, partial_transpose, schatten_norm, t
 from alphaneg.states import (
     BipartiteState,
     cq_assemble,
-    cq_build,
     load_state,
     max_entangled,
     no_convexity_fixture,
@@ -189,15 +188,6 @@ class TestCqStates:
             lhs = schatten_norm(joint, alpha) ** alpha
             rhs = sum(schatten_norm(b, alpha) ** alpha for b in blocks)
             assert abs(lhs - rhs) < 1e-9 * max(1, rhs)
-
-    def test_build_validates(self, rng):
-        blocks = [random_hermitian(rng, 2), random_hermitian(rng, 2)]
-        cq = cq_build([0.4, 0.6], [1.0, 2.0], blocks)
-        assert cq.probs.sum() == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            cq_build([0.4, 0.4], [1.0, 2.0], blocks)
-        with pytest.raises(ValueError):
-            cq_build([0.5, 0.5], [1.0, -1.0], blocks)
 
 
 class TestStateValidation:
