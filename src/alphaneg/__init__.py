@@ -80,7 +80,6 @@ from .resource import (
     free_membership,
     r_alpha,
     r_alpha_channel,
-    register_map,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 reproduction mismatch, 2 invalid input,
-3 non-convergence (value still printed), 4 unsupported map or out-of-domain
-parameters.  Every sweep CSV gets a sibling ``<name>.manifest.json`` recording
-the command, inputs, config overrides, wall clock and tool version, so a CSV
-can be regenerated bit for bit.
+3 non-convergence (value still printed), 4 out-of-domain parameters.
+Commands raise on bad input; ``main`` alone turns an error into its exit code
+and one ``error: ...`` line on standard error.  Every sweep CSV gets a sibling
+``<name>.manifest.json`` recording the command, inputs, config overrides, wall
+clock and tool version, so a CSV can be regenerated bit for bit.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ import numpy as np
 
 from . import __version__
 from .divergence import log_negativity
-from .errors import (
-    AlphanegError,
-    InvalidStateError,
-    NotConvergedError,
-    OutOfDomainError,
-    UnsupportedMapError,
-)
+from .errors import AlphanegError, NotConvergedError, OutOfDomainError
 from .channels import (
     bosonic_value,
     channel_e_alpha,
@@ -38,7 +33,6 @@ from .channels import (
 )
 from .linalg import BipartitionDims
 from .pptgeom import project_ppt
-from .resource import r_alpha, resolve_map
 from .solver import SolverConfig, alpha_sweep, audit_monotonicity, e_alpha
 from .states import (
     load_state,
@@ -56,10 +50,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_UNCONVERGED = 3
-EXIT_UNSUPPORTED = 4
-
-# Reading a state file: ValueError covers a file that is not UTF-8 JSON.
-_STATE_FILE_ERRORS = (InvalidStateError, OSError, ValueError)
+EXIT_OUT_OF_DOMAIN = 4
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -86,6 +77,14 @@ def _overrides_dict(args) -> dict:
         if val is not None:
             out[key] = val
     return out
+
+
+def non_negative_int(text: str) -> int:
+    """``--precision``: a count of printed decimal places."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
 
 
 def _parse_alpha(text: str) -> float:
@@ -139,33 +138,15 @@ def _print_result(result, precision: int) -> None:
 
 
 def cmd_compute(args) -> int:
-    try:
-        state = load_state(args.state)
-    except _STATE_FILE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        if args.map is not None:
-            pmap = resolve_map(args.map, state.dims)
-            result = r_alpha(state, pmap, args.alpha, args.cfg)
-        else:
-            result = e_alpha(state, args.alpha, args.cfg)
-    except UnsupportedMapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    result = e_alpha(load_state(args.state), args.alpha, args.cfg)
     _print_result(result, args.precision)
     return EXIT_OK if result.converged else EXIT_UNCONVERGED
 
 
 def cmd_sweep(args) -> int:
     started = time.time()
-    try:
-        state = load_state(args.state)
-        alphas = _sweep_orders(args)
-    except _STATE_FILE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
+    state = load_state(args.state)
+    alphas = _sweep_orders(args)
     results = alpha_sweep(state, alphas, args.cfg)
     out_path = Path(args.out)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
@@ -199,11 +180,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_project(args) -> int:
-    try:
-        loaded = load_state(args.state, raw=args.raw)
-    except _STATE_FILE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    loaded = load_state(args.state, raw=args.raw)
     if args.raw:
         dims, matrix = loaded
     else:
@@ -226,27 +203,19 @@ def _parse_family(spec: str):
 
 
 def cmd_channel(args) -> int:
-    try:
-        if args.family:
-            name, params = _parse_family(args.family)
-            if name == "wh":
-                if len(params) != 2:
-                    raise OutOfDomainError("family wh takes p,d")
-                value = werner_holevo_value(params[0], int(params[1]))
-            else:
-                value = bosonic_value(name, params)
-            print(f"value_bits: {_fmt(value, args.precision)}")
-            return EXIT_OK
-        if not args.channel:
-            print("error: a channel file or --family is required", file=sys.stderr)
-            return EXIT_INVALID
-        channel = load_channel(args.channel)
-    except OutOfDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.family:
+        name, params = _parse_family(args.family)
+        if name == "wh":
+            if len(params) != 2:
+                raise OutOfDomainError("family wh takes p,d")
+            value = werner_holevo_value(params[0], int(params[1]))
+        else:
+            value = bosonic_value(name, params)
+        print(f"value_bits: {_fmt(value, args.precision)}")
+        return EXIT_OK
+    if not args.channel:
+        raise ValueError("a channel file or --family is required")
+    channel = load_channel(args.channel)
     value, details = channel_e_alpha(channel, args.alpha, args.cfg, with_details=True)
     print(f"value_bits: {_fmt(value, args.precision)}")
     if details["dispersion_flag"]:
@@ -345,20 +314,12 @@ def cmd_repro(args) -> int:
             rows.append((f"d=2, p={p}, order 2", computed, werner_holevo_value(p, 2), 5e-3))
         failures += _repro_table(rows, precision)
 
-    else:
-        print(f"error: unknown reproduction target {args.name!r}", file=sys.stderr)
-        return EXIT_INVALID
-
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 
 def cmd_check(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    try:
-        reports = run_suite(args.suite, seed, args.cfg, smoke=args.smoke)
-    except KeyError:
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_INVALID
+    reports = run_suite(args.suite, seed, args.cfg, smoke=args.smoke)
     failed = 0
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -386,20 +347,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None, help="value tolerance in bits")
         if max_iter:
             p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-        p.add_argument("--precision", type=int, default=6, help="printed decimal places")
         if with_alpha:
             p.add_argument("--alpha", type=_parse_alpha, default=2.0, help="order in [1, inf]")
 
     p = sub.add_parser("compute", help="measure value of a state file")
     p.add_argument("state", type=Path)
     common(p, with_alpha=True, seed=False)
-    p.add_argument("--map", default=None, help="positive map name (default: partial transpose)")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("kappa", help="semidefinite max endpoint of a state file")
     p.add_argument("state", type=Path)
     common(p, seed=False, max_iter=False)
-    p.set_defaults(func=cmd_compute, alpha=math.inf, map=None)
+    p.set_defaults(func=cmd_compute, alpha=math.inf)
 
     p = sub.add_parser("sweep", help="values over a grid of orders, to CSV")
     p.add_argument("state", type=Path)
@@ -445,6 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_check)
 
+    for name in ("compute", "kappa", "channel", "repro"):
+        sub.choices[name].add_argument(
+            "--precision", type=non_negative_int, default=6, help="printed decimal places"
+        )
     return parser
 
 
@@ -452,15 +415,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.cfg = _config_from_args(args)
-    except ValueError as exc:  # SolverConfig rejected --tol or --max-iter
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
         return args.func(args)
-    except AlphanegError as exc:
+    except OutOfDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (UnsupportedMapError, OutOfDomainError)):
-            return EXIT_UNSUPPORTED
+        return EXIT_OUT_OF_DOMAIN
+    except (AlphanegError, OSError, ValueError) as exc:
+        # ValueError: a file that is not UTF-8 JSON, or a rejected SolverConfig
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -10,6 +10,9 @@ calls it with the partial transpose T_B, so the entanglement measure is the
 T_B case of this one, and ``solver.e_kappa`` is ``e_alpha`` at order
 infinity.  Every outcome comes back in the ``MeasureResult``.
 
+A library caller builds the ``PositiveMapSpec`` it needs; ``builtin_map``
+names only T_B, which is also the one map the CLI measures with.
+
 The engine is sound exactly when P is a Hermiticity-preserving
 trace-preserving involution that is also a Frobenius isometry: then
 P . psd_project . P is an exact nearest-point map for the {P(sigma) >= 0}
@@ -93,30 +96,15 @@ class PositiveMapSpec:
 
 
 def builtin_map(name: str, dims: BipartitionDims) -> PositiveMapSpec:
-    """Named built-ins: "partial_transpose" on the B factor, or "transpose"."""
+    """The one named built-in, "partial_transpose": T_B on the B factor of
+    ``dims``.  Any other map is a ``PositiveMapSpec`` built by the caller."""
     if name == "partial_transpose":
         return PositiveMapSpec(
             apply=lambda m: partial_transpose(m, dims, "B"),
             dim=dims.total,
             name=name,
         )
-    if name == "transpose":
-        return PositiveMapSpec(apply=lambda m: m.T.copy(), dim=dims.total, name=name)
     raise UnsupportedMapError(f"unknown built-in map {name!r}")
-
-
-_REGISTRY: dict[str, Callable[[BipartitionDims], PositiveMapSpec]] = {}
-
-
-def register_map(name: str, factory: Callable[[BipartitionDims], PositiveMapSpec]) -> None:
-    """Register a custom map factory selectable by name (e.g. from the CLI)."""
-    _REGISTRY[name] = factory
-
-
-def resolve_map(name: str, dims: BipartitionDims) -> PositiveMapSpec:
-    if name in _REGISTRY:
-        return _REGISTRY[name](dims)
-    return builtin_map(name, dims)
 
 
 def _require_dim(pmap: PositiveMapSpec, dim: int, what: str) -> None:

@@ -434,5 +434,5 @@ def run_suite(
             reports.extend(SUITES[key](seed, cfg, smoke))
         return reports
     if name not in SUITES:
-        raise KeyError(name)
+        raise ValueError(f"unknown suite {name!r}")
     return SUITES[name](seed, cfg, smoke)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from alphaneg.channels import werner_holevo_channel
-from alphaneg.cli import EXIT_INVALID, EXIT_OK, EXIT_UNCONVERGED, EXIT_UNSUPPORTED, main
+from alphaneg.cli import EXIT_INVALID, EXIT_OK, EXIT_OUT_OF_DOMAIN, EXIT_UNCONVERGED, main
 from alphaneg.linalg import BipartitionDims
 from alphaneg.states import load_state, random_state, save_state, werner_state
 
@@ -69,15 +69,64 @@ class TestSweepOrders:
         ("project", "--max-iter"),
         ("project", "--precision"),
         ("sweep", "--seed"),
+        ("sweep", "--precision"),
+        ("check", "--precision"),
+        ("compute", "--map"),
     ],
 )
 def test_flags_no_code_reads_are_gone(ppt_state, tmp_path, capsys, command, flag):
-    # sweep's required options are given, so the flag is what argparse rejects
-    required = {"sweep": ["--alphas", "2", "--out", str(tmp_path / "sweep.csv")]}
+    # required options are given, so the flag is what argparse rejects
+    args = {
+        "sweep": [str(ppt_state), "--alphas", "2", "--out", str(tmp_path / "sweep.csv")],
+        "check": ["--suite", "lemmas"],
+    }.get(command, [str(ppt_state)])
     with pytest.raises(SystemExit) as exc:
-        main([command, str(ppt_state), *required.get(command, []), flag, "1"])
+        main([command, *args, flag, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["compute", "{state}"], ["channel", "--family", "wh:0.75,2"], ["repro", "normalization"]],
+    ids=["compute", "channel", "repro"],
+)
+def test_negative_precision_is_rejected_before_any_solve(ppt_state, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(state=ppt_state) for a in args] + ["--precision", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --precision: invalid non_negative_int value: '-1'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["compute", "{missing}"], id="compute-missing-state"),
+        pytest.param(["kappa", "{missing}"], id="kappa-missing-state"),
+        pytest.param(
+            ["sweep", "{missing}", "--alphas", "2", "--out", "{tmp}/sweep.csv"],
+            id="sweep-missing-state",
+        ),
+        pytest.param(["project", "{missing}"], id="project-missing-state"),
+        pytest.param(["channel", "{missing}"], id="channel-missing-channel"),
+        pytest.param(
+            ["sweep", "{state}", "--alphas", "2", "--out", "{tmp}/no-such-dir/sweep.csv"],
+            id="sweep-out-in-missing-dir",
+        ),
+        pytest.param(["check", "--suite", "nope"], id="check-unknown-suite"),
+        pytest.param(["channel"], id="channel-without-input"),
+    ],
+)
+def test_bad_input_exits_invalid_with_one_error_line(ppt_state, tmp_path, capsys, args):
+    # main turns every error into an exit code; none escapes as a traceback
+    names = {"missing": tmp_path / "missing.json", "state": ppt_state, "tmp": tmp_path}
+    assert main([a.format(**names) for a in args]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_project_leaves_a_ppt_state_in_place(ppt_state, tmp_path):
@@ -121,7 +170,7 @@ def test_channel_beyond_search_scale_exits_unsupported(tmp_path, capsys):
         "data": [[[z.real, z.imag] for z in row] for row in m],
     }
     path.write_text(json.dumps(payload))
-    assert main(["channel", str(path)]) == EXIT_UNSUPPORTED
+    assert main(["channel", str(path)]) == EXIT_OUT_OF_DOMAIN
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
