@@ -250,21 +250,35 @@ def channel_output_state(channel: Channel, psi_matrix: np.ndarray) -> BipartiteS
     return BipartiteState(BipartitionDims(d_ref, channel.dim_out), out)
 
 
-def _multistart_search(objective, d: int, first_start: np.ndarray, cfg, with_details: bool):
-    """Largest value of -objective found by Nelder-Mead over 2 d^2 real
-    parameters, from ``first_start`` and then seeded random restarts.
+def _channel_search(d: int, measure, cfg, with_details: bool):
+    """Largest ``measure(psi)`` over unit-norm d x d amplitude matrices psi.
 
-    Returns the best value (and the search details when ``with_details``); a
-    restart spread above ``value_tol`` is reported in the details rather than
-    raised.
+    Seeded multi-start Nelder-Mead over the 2 d^2 real and imaginary parts of
+    psi, normalized before ``measure`` sees it; the first restart starts at
+    the maximally entangled I/sqrt(d).  A near-zero psi, or one whose image
+    fails the state checks, scores the penalty 1e6.  Returns the best value
+    (and the search details when ``with_details``); a restart spread above
+    ``value_tol`` is reported in the details rather than raised.
     """
     if d > 4:
         raise OutOfDomainError(f"channel search is desk-scale, input dimension must be <= 4, got {d}")
     n = d * d
+
+    def objective(x: np.ndarray) -> float:
+        psi = (x[:n] + 1j * x[n:]).reshape(d, d)
+        norm = np.linalg.norm(psi)
+        if norm < 1e-8:
+            return 1e6
+        try:
+            return -measure(psi / norm)
+        except InvalidStateError:
+            return 1e6
+
+    max_entangled = np.concatenate([np.eye(d).reshape(-1) / math.sqrt(d), np.zeros(n)])
     rng = np.random.default_rng(cfg.seed)
     bests = []
     for restart in range(cfg.restarts):
-        x0 = first_start if restart == 0 else rng.standard_normal(2 * n)
+        x0 = max_entangled if restart == 0 else rng.standard_normal(2 * n)
         res = optimize.minimize(
             objective,
             x0,
@@ -290,27 +304,17 @@ def channel_e_alpha(
 ):
     """Largest measure value over pure inputs with reference a copy of the input.
 
-    Searches the 2 d_A^2 real amplitude parameters with ``_multistart_search``;
-    the first restart starts at the maximally entangled input.
+    ``_channel_search`` runs over the amplitude matrix Psi of the input; each
+    evaluation measures the reference:output state of Psi.
     """
     cfg = cfg or DEFAULT_CONFIG
-    d = channel.dim_in
     inner_cfg = replace(cfg, with_bracket=False)
-    n = d * d
-
-    def objective(x: np.ndarray) -> float:
-        psi = (x[:n] + 1j * x[n:]).reshape(d, d)
-        norm = np.linalg.norm(psi)
-        if norm < 1e-8:
-            return 1e6
-        try:
-            state = channel_output_state(channel, psi / norm)
-            return -e_alpha(state, alpha, inner_cfg).value_bits
-        except InvalidStateError:
-            return 1e6
-
-    bell = np.concatenate([np.eye(d).reshape(-1) / math.sqrt(d), np.zeros(n)])
-    return _multistart_search(objective, d, bell, cfg, with_details)
+    return _channel_search(
+        channel.dim_in,
+        lambda psi: e_alpha(channel_output_state(channel, psi), alpha, inner_cfg).value_bits,
+        cfg,
+        with_details,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import _multistart_search, choi_of, instrument_outcomes
+from .channels import _channel_search, choi_of, instrument_outcomes
 from .divergence import check_alpha
 from .errors import CommutationFailedError, UnsupportedMapError
 from .linalg import (
@@ -275,22 +275,14 @@ def r_alpha_channel(
     cfg: SolverConfig = DEFAULT_CONFIG,
     with_details: bool = False,
 ):
-    """Largest resourcefulness over input states, by derivative-free search
-    over square-root parametrizations of the input density matrix."""
+    """Largest resourcefulness of N(Psi Psi^dag) over unit-norm amplitude
+    matrices Psi, by the channel search ``channels._channel_search``."""
     _require_dim(pmap, channel.dim_out, "channel output")
-    din = channel.dim_in
     out_dims = channel.bipartition_out or BipartitionDims(1, channel.dim_out)
     inner_cfg = replace(cfg, with_bracket=False)
-    n = din * din
 
-    def objective(x: np.ndarray) -> float:
-        g = (x[:n] + 1j * x[n:]).reshape(din, din)
-        gram = g @ g.conj().T
-        tr = float(np.trace(gram).real)
-        if tr < 1e-12:
-            return 1e6
-        state = BipartiteState(out_dims, herm_part(channel.apply(gram / tr)))
-        return -r_alpha(state, pmap, alpha, inner_cfg).value_bits
+    def measure(psi: np.ndarray) -> float:
+        state = BipartiteState(out_dims, herm_part(channel.apply(psi @ psi.conj().T)))
+        return r_alpha(state, pmap, alpha, inner_cfg).value_bits
 
-    first = np.concatenate([np.eye(din).reshape(-1), np.zeros(n)])
-    return _multistart_search(objective, din, first, cfg, with_details)
+    return _channel_search(channel.dim_in, measure, cfg, with_details)
