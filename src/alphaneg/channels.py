@@ -9,8 +9,12 @@ everywhere else in the package.
 ``is_cpptp`` and ``is_cpptp_instrument`` get the Choi matrix of
 P_out . N . P_in from the one builder, ``linalg._conjugated_choi``, which
 ``resource._check_free_operation`` and ``solver._kappa_core`` use too.
-One seeded multi-start Nelder-Mead search, ``_multistart_search``, serves
-both ``channel_e_alpha`` and ``resource.r_alpha_channel``.
+One seeded multi-start Nelder-Mead search, ``_channel_search``, runs over
+unit-norm amplitude matrices Psi for both channel measures:
+``channel_e_alpha`` measures the output (Psi (x) I) J_N (Psi (x) I)^dag of
+the pure input with reference, ``channel_output_state``, and
+``resource.r_alpha_channel`` measures N applied to the input state
+Psi Psi^dag / ||Psi||^2.
 
 Channel JSON format: {"kind": "kraus" | "superop", "dims_in": [...],
 "dims_out": [...], "data": ...} with the same [re, im] entry pairs as the
@@ -227,26 +231,15 @@ def instrument_outcomes(instr: Instrument, rho) -> list[tuple[float, BipartiteSt
 # channel-level measure
 
 
-def _extend_apply(channel: Channel, rho_ra: np.ndarray, d_ref: int) -> np.ndarray:
-    """(id_R (x) N) on a block matrix over the reference index."""
-    din, dout = channel.dim_in, channel.dim_out
-    out = np.zeros((d_ref * dout, d_ref * dout), dtype=complex)
-    for r in range(d_ref):
-        for s in range(d_ref):
-            block = rho_ra[r * din : (r + 1) * din, s * din : (s + 1) * din]
-            out[r * dout : (r + 1) * dout, s * dout : (s + 1) * dout] = channel.apply(block)
-    return out
-
-
 def channel_output_state(channel: Channel, psi_matrix: np.ndarray) -> BipartiteState:
     """Push the purification with amplitude matrix psi (reference x input)
-    through the channel; returns the reference:output bipartite state."""
+    through the channel; returns the reference:output bipartite state
+    (psi (x) I) J_N (psi (x) I)^dag, with J_N the Choi matrix."""
     d_ref, din = psi_matrix.shape
     if din != channel.dim_in:
         raise ValueError("amplitude matrix column count must match the channel input")
-    v = psi_matrix.reshape(-1)
-    rho_ra = np.outer(v, v.conj())
-    out = herm_part(_extend_apply(channel, rho_ra, d_ref))
+    k = np.kron(psi_matrix, np.eye(channel.dim_out))
+    out = herm_part(k @ choi_of(channel) @ k.conj().T)
     return BipartiteState(BipartitionDims(d_ref, channel.dim_out), out)
 
 

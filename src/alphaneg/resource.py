@@ -24,7 +24,8 @@ An instrument is free when P . N . P is completely positive for each element
 N: then N maps free states to free states, so the measure cannot increase on
 average (for P = T_B this is the completely-PPT-preserving condition).  The
 check uses the one conjugated Choi builder, ``linalg._conjugated_choi``, and
-the channel measure uses the one multi-start search of ``channels``.
+the channel measure ``r_alpha_channel`` uses the one channel search,
+``channels._channel_search``, with input state Psi Psi^dag / ||Psi||^2.
 """
 
 from __future__ import annotations
