@@ -119,12 +119,6 @@ class SuperOperator:
 Channel = KrausChannel | SuperOperator
 
 
-def superop_matrix(channel: Channel) -> np.ndarray:
-    if isinstance(channel, SuperOperator):
-        return channel.matrix
-    return sum(np.kron(k, k.conj()) for k in channel.kraus_ops)
-
-
 def choi_of(channel: Channel) -> np.ndarray:
     """Unnormalized Choi matrix sum_ij |i><j| (x) N(|i><j|), reference first."""
     din, dout = channel.dim_in, channel.dim_out
@@ -267,11 +261,11 @@ def _channel_search(d: int, measure, cfg, with_details: bool):
         except InvalidStateError:
             return 1e6
 
-    max_entangled = np.concatenate([np.eye(d).reshape(-1) / math.sqrt(d), np.zeros(n)])
+    bell = np.concatenate([np.eye(d).reshape(-1) / math.sqrt(d), np.zeros(n)])
     rng = np.random.default_rng(cfg.seed)
     bests = []
     for restart in range(cfg.restarts):
-        x0 = max_entangled if restart == 0 else rng.standard_normal(2 * n)
+        x0 = bell if restart == 0 else rng.standard_normal(2 * n)
         res = optimize.minimize(
             objective,
             x0,

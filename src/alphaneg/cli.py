@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .divergence import log_negativity
+from .divergence import check_alpha, log_negativity
 from .errors import AlphanegError, NotConvergedError, OutOfDomainError
 from .channels import (
     bosonic_value,
@@ -146,10 +146,10 @@ def cmd_compute(args) -> int:
 def cmd_sweep(args) -> int:
     started = time.time()
     state = load_state(args.state)
-    alphas = _sweep_orders(args)
-    results = alpha_sweep(state, alphas, args.cfg)
+    alphas = [check_alpha(a) for a in _sweep_orders(args)]
     out_path = Path(args.out)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        results = alpha_sweep(state, alphas, args.cfg)
         writer = csv.writer(fh)
         writer.writerow(
             ["alpha", "value_bits", "e_n_lower", "e_kappa_upper", "iterations", "converged"]
@@ -206,8 +206,8 @@ def cmd_channel(args) -> int:
     if args.family:
         name, params = _parse_family(args.family)
         if name == "wh":
-            if len(params) != 2:
-                raise OutOfDomainError("family wh takes p,d")
+            if len(params) != 2 or not params[1].is_integer():
+                raise OutOfDomainError("family wh takes p,d with d a finite integer")
             value = werner_holevo_value(params[0], int(params[1]))
         else:
             value = bosonic_value(name, params)

@@ -22,7 +22,6 @@ from alphaneg.channels import (
     is_cpptp_instrument,
     random_kraus_channel,
     random_local_instrument,
-    superop_matrix,
     werner_holevo_channel,
     werner_holevo_value,
 )
@@ -37,7 +36,7 @@ from alphaneg.resource import builtin_map, free_instrument_monotonicity_check
 from alphaneg.solver import DEFAULT_CONFIG
 from alphaneg.states import max_entangled, ppt_membership, random_state, swap_operator, werner_state
 
-from _reference import subsystem_transpose
+from _reference import extend_apply, subsystem_transpose, superop_matrix
 from conftest import DIMS, JSON, MATRIX, corrupted
 
 DIMS22 = BipartitionDims(2, 2)
@@ -261,6 +260,33 @@ class TestChannelMeasure:
         psi = np.eye(2) / math.sqrt(2)
         state = channel_output_state(ch, psi)
         assert state.dims == BipartitionDims(2, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d_ref=st.integers(1, 3),
+        d_in=st.integers(1, 3),
+        d_out=st.integers(1, 3),
+        extra_kraus=st.integers(0, 2),
+        kind=st.sampled_from(["kraus", "superop"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_output_state_matches_blockwise_reference(
+        self, d_ref, d_in, d_out, extra_kraus, kind, seed
+    ):
+        # the Choi conjugation against (id_R (x) N) applied block by block,
+        # with rectangular amplitude matrices and d_in != d_out included; the
+        # random isometry needs n_kraus * d_out >= d_in rows
+        ch = random_kraus_channel(d_in, d_out, -(-d_in // d_out) + extra_kraus, seed)
+        if kind == "superop":
+            ch = SuperOperator(superop_matrix(ch), d_in, d_out)
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal((d_ref, d_in)) + 1j * rng.standard_normal((d_ref, d_in))
+        psi /= np.linalg.norm(psi)
+        v = psi.reshape(-1)
+        expected = extend_apply(ch, np.outer(v, v.conj()), d_ref)
+        state = channel_output_state(ch, psi)
+        assert state.dims == BipartitionDims(d_ref, d_out)
+        np.testing.assert_allclose(state.matrix, expected, rtol=0, atol=1e-12)
 
     def test_werner_holevo_extreme(self):
         cfg = dataclasses.replace(FAST, restarts=3)

@@ -34,6 +34,7 @@ class TestSweepOrders:
             ["--grid", "2:1:3"],
             ["--grid", "1:2:0"],
             ["--grid", "1:2"],
+            ["--alphas", "0.5,2"],
         ],
     )
     def test_bad_orders_exit_invalid_without_output(self, ppt_state, tmp_path, capsys, orders):
@@ -41,6 +42,15 @@ class TestSweepOrders:
         assert main(["sweep", str(ppt_state), *orders, "--out", str(out)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_unwritable_out_fails_before_any_solve(self, ppt_state, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("alphaneg.cli.alpha_sweep", lambda *args: calls.append(args))
+        out = tmp_path / "no-such-dir" / "x.csv"
+        assert main(["sweep", str(ppt_state), "--alphas", "2", "--out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert calls == []
 
     @pytest.mark.parametrize(
         "orders, expected",
@@ -127,6 +137,23 @@ def test_bad_input_exits_invalid_with_one_error_line(ppt_state, tmp_path, capsys
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "family, code, out",
+    [
+        ("wh:0.75,2", EXIT_OK, "value_bits: 0.584963\n"),
+        ("wh:0.75,2.0", EXIT_OK, "value_bits: 0.584963\n"),
+        ("wh:0.75,2.5", EXIT_OUT_OF_DOMAIN, ""),
+        ("wh:0.75,1e400", EXIT_OUT_OF_DOMAIN, ""),
+        ("wh:0.75,nan", EXIT_OUT_OF_DOMAIN, ""),
+    ],
+)
+def test_werner_holevo_family_takes_an_integer_dimension(capsys, family, code, out):
+    assert main(["channel", "--family", family]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == ("" if code == EXIT_OK else "error: family wh takes p,d with d a finite integer\n")
 
 
 def test_project_leaves_a_ppt_state_in_place(ppt_state, tmp_path):
