@@ -228,13 +228,15 @@ def instrument_outcomes(instr: Instrument, rho) -> list[tuple[float, BipartiteSt
 def channel_output_state(channel: Channel, psi_matrix: np.ndarray) -> BipartiteState:
     """Push the purification with amplitude matrix psi (reference x input)
     through the channel; returns the reference:output bipartite state
-    (psi (x) I) J_N (psi (x) I)^dag, with J_N the Choi matrix."""
+    (psi (x) I) J_N (psi (x) I)^dag, with J_N the Choi matrix, contracted
+    one input index at a time."""
     d_ref, din = psi_matrix.shape
     if din != channel.dim_in:
         raise ValueError("amplitude matrix column count must match the channel input")
-    k = np.kron(psi_matrix, np.eye(channel.dim_out))
-    out = herm_part(k @ choi_of(channel) @ k.conj().T)
-    return BipartiteState(BipartitionDims(d_ref, channel.dim_out), out)
+    dout = channel.dim_out
+    left = (psi_matrix @ choi_of(channel).reshape(din, -1)).reshape(d_ref * dout, din, dout)
+    out = herm_part((psi_matrix.conj() @ left).reshape(d_ref * dout, d_ref * dout))
+    return BipartiteState(BipartitionDims(d_ref, dout), out)
 
 
 def _channel_search(d: int, measure, cfg, with_details: bool):
