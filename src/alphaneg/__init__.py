@@ -20,7 +20,6 @@ from .errors import (
     NegativeSpectrumError,
     NonHermitianError,
     NotConvergedError,
-    NotCpptpError,
     NotPositiveDefiniteError,
     OutOfDomainError,
     UnsupportedMapError,

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize
 
-from .errors import InvalidStateError, NotCpptpError, OutOfDomainError
+from .errors import InvalidStateError, OutOfDomainError
 from .linalg import (
     BipartitionDims,
     _conjugated_choi,
@@ -201,21 +201,17 @@ def is_cpptp_instrument(instr: Instrument, tol: float = 1e-9) -> bool:
 
 def instrument_outcomes(instr: Instrument, rho) -> list[tuple[float, BipartiteState]]:
     """Outcome probabilities and post-measurement states; near-zero-probability
-    branches are dropped after the total probability has been verified."""
+    branches are dropped.  ``Instrument`` and ``BipartiteState`` have already
+    checked trace preservation and the unit trace."""
     rho = as_state(rho)
     if rho.dims != instr.dims_in:
         raise InvalidStateError(
             f"state dims {rho.dims} do not match instrument input {instr.dims_in}"
         )
-    raw = []
+    out = []
     for el in instr.elements:
         img = el.apply(rho.matrix)
-        raw.append((float(np.trace(img).real), img))
-    total = sum(p for p, _ in raw)
-    if abs(total - 1.0) > 1e-9:
-        raise NotCpptpError(f"outcome probabilities sum to {total}, not 1")
-    out = []
-    for p, img in raw:
+        p = float(np.trace(img).real)
         if p > _PROB_CUTOFF:
             out.append((p, BipartiteState(instr.dims_out, img / p)))
     return out
@@ -382,6 +378,10 @@ def bosonic_value(kind: str, params: Sequence[float]) -> float:
 
 def random_kraus_channel(d_in: int, d_out: int, n_kraus: int, seed: int) -> KrausChannel:
     """Haar-style random CPTP map from a random isometry split into blocks."""
+    if n_kraus * d_out < d_in:
+        raise ValueError(
+            f"an isometry from C^{d_in} needs n_kraus * d_out >= d_in, got {n_kraus} * {d_out}"
+        )
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n_kraus * d_out, d_in)) + 1j * rng.standard_normal(
         (n_kraus * d_out, d_in)

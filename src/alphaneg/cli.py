@@ -289,10 +289,9 @@ def cmd_repro(args) -> int:
         failures += _repro_table(rows, precision)
 
     elif args.name == "two-qubit-collapse":
-        rng_seed = args.seed if args.seed is not None else 0
         worst = 0.0
         for i in range(10):
-            rho = random_state(BipartitionDims(2, 2), rank=(i % 4) + 1, seed=rng_seed + 17 * i)
+            rho = random_state(BipartitionDims(2, 2), rank=(i % 4) + 1, seed=cfg.seed + 17 * i)
             en = log_negativity(rho)
             gap = abs(e_alpha(rho, 2.0, cfg).value_bits - en)
             worst = max(worst, gap)
@@ -318,8 +317,7 @@ def cmd_repro(args) -> int:
 
 
 def cmd_check(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    reports = run_suite(args.suite, seed, args.cfg, smoke=args.smoke)
+    reports = run_suite(args.suite, args.cfg.seed, args.cfg, smoke=args.smoke)
     failed = 0
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"

@@ -29,10 +29,6 @@ class InvalidStateError(AlphanegError):
     """Matrix fails the density-operator invariants (Hermitian, PSD, unit trace)."""
 
 
-class NotCpptpError(AlphanegError):
-    """Channel or instrument fails the PPT-preserving hypothesis."""
-
-
 class UnsupportedMapError(AlphanegError):
     """Positive map lacks the properties the generic solver relies on."""
 

@@ -34,7 +34,14 @@ from alphaneg.linalg import (
 )
 from alphaneg.resource import builtin_map, free_instrument_monotonicity_check
 from alphaneg.solver import DEFAULT_CONFIG
-from alphaneg.states import max_entangled, ppt_membership, random_state, swap_operator, werner_state
+from alphaneg.states import (
+    BipartiteState,
+    max_entangled,
+    ppt_membership,
+    random_state,
+    swap_operator,
+    werner_state,
+)
 
 from _reference import extend_apply, subsystem_transpose, superop_matrix
 from conftest import DIMS, JSON, MATRIX, corrupted
@@ -95,6 +102,10 @@ class TestChoi:
         sup = SuperOperator(superop_matrix(ch), 3, 3)
         rho = random_state(BipartitionDims(1, 3), 3, seed=1).matrix
         np.testing.assert_allclose(sup.apply(rho), ch.apply(rho), atol=1e-10)
+
+    def test_random_channel_needs_an_isometry(self):
+        with pytest.raises(ValueError, match="n_kraus \\* d_out >= d_in"):
+            random_kraus_channel(2, 1, 1, seed=0)
 
 
 class TestIsCpptp:
@@ -183,6 +194,15 @@ class TestInstruments:
         rho = random_state(DIMS22, 4, seed=3)
         outs = instrument_outcomes(instr, rho)
         assert sum(p for p, _ in outs) == pytest.approx(1.0, abs=1e-9)
+
+    def test_totals_within_both_validators_tolerances(self):
+        # the instrument and the state may each sit 1e-9 from exact, so the
+        # outcome probabilities may total about 1 + 2e-9
+        s = 1 + 0.9e-9
+        instr = Instrument((KrausChannel((math.sqrt(s) * np.eye(4),), 4, 4),), DIMS22, DIMS22)
+        outs = instrument_outcomes(instr, BipartiteState(DIMS22, s * np.eye(4) / 4))
+        assert len(outs) == 1
+        assert outs[0][0] == pytest.approx(1.0, abs=1e-8)
 
     def test_rejects_non_tp_sum(self):
         half = KrausChannel((np.eye(4, dtype=complex) / 2,), 4, 4)
