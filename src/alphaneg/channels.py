@@ -6,9 +6,11 @@ is the unnormalized (id (x) N) applied to d * (maximally entangled), with the
 reference factor first.  The composite index is the row-major one used
 everywhere else in the package.
 
-``is_cpptp`` and ``is_cpptp_instrument`` get the Choi matrix of
-P_out . N . P_in from the one builder, ``linalg._conjugated_choi``, which
-``resource._check_free_operation`` and ``solver._kappa_core`` use too.
+One free-operation test, ``_cp_slack``, serves ``is_cpptp`` and
+``is_cpptp_instrument`` (with the partial transposes) and
+``resource._check_free_operation`` (with any positive map); one
+trace-preservation test, ``_tp_defect``, serves ``choi_is_tp`` and
+``Instrument``.  Every Choi-matrix test reads the one ``_CHOI_TOL``.
 One seeded multi-start Nelder-Mead search, ``_channel_search``, runs over
 unit-norm amplitude matrices Psi for both channel measures:
 ``channel_e_alpha`` measures the output (Psi (x) I) J_N (Psi (x) I)^dag of
@@ -40,12 +42,12 @@ from .linalg import (
     herm_part,
     op_norm,
     partial_trace,
-    partial_transpose,
 )
-from .solver import DEFAULT_CONFIG, e_alpha
+from .solver import DEFAULT_CONFIG, _pt, e_alpha
 from .states import BipartiteState, _pairs_to_matrix, _positive_ints, as_state, swap_operator
 
 _PROB_CUTOFF = 1e-8
+_CHOI_TOL = 1e-9  # relative to max(1, ||J||), except for trace preservation
 
 
 def _parse_dims(spec) -> tuple[int, BipartitionDims | None]:
@@ -108,7 +110,7 @@ class SuperOperator:
             )
         object.__setattr__(self, "matrix", m)
         choi = choi_of(self)
-        if op_norm(choi - choi.conj().T) > 1e-9 * max(1.0, op_norm(choi)):
+        if op_norm(choi - choi.conj().T) > _CHOI_TOL * max(1.0, op_norm(choi)):
             raise ValueError("superoperator is not Hermiticity-preserving")
 
     def apply(self, M: np.ndarray) -> np.ndarray:
@@ -132,44 +134,40 @@ def choi_of(channel: Channel) -> np.ndarray:
     return s.transpose(2, 0, 3, 1).reshape(din * dout, din * dout)
 
 
-def choi_is_tp(channel: Channel, tol: float = 1e-9) -> bool:
+def _tp_defect(J: np.ndarray, d_in: int, d_out: int) -> float:
+    """||Tr_out J - I||: zero exactly when J is the Choi matrix of a TP map."""
+    return op_norm(partial_trace(J, BipartitionDims(d_in, d_out), "B") - np.eye(d_in))
+
+
+def choi_is_tp(channel: Channel) -> bool:
+    return _tp_defect(choi_of(channel), channel.dim_in, channel.dim_out) <= _CHOI_TOL
+
+
+def _cp_slack(channel: Channel, p_in, p_out) -> float:
+    """Smallest eigenvalue of the Choi matrices of N and of P_out . N . P_in,
+    relative to max(1, ||J_N||): both maps count as CP when it is at least
+    -``_CHOI_TOL``.  P_in and P_out are trusted on Hermitian inputs only."""
     J = choi_of(channel)
-    marg = partial_trace(J, BipartitionDims(channel.dim_in, channel.dim_out), "B")
-    return op_norm(marg - np.eye(channel.dim_in)) <= tol
+    J_conj = _conjugated_choi(channel.apply, p_in, p_out, channel.dim_in)
+    lam = min(float(np.linalg.eigvalsh(herm_part(M))[0]) for M in (J, J_conj))
+    return lam / max(1.0, op_norm(J))
 
 
-def _require_bipartitions(channel: Channel) -> tuple[BipartitionDims, BipartitionDims]:
-    if channel.bipartition_in is None or channel.bipartition_out is None:
-        raise ValueError("the PPT-preserving check needs bipartitions on both sides")
-    return channel.bipartition_in, channel.bipartition_out
-
-
-def _cp_and_pt_conjugate_cp(channel: Channel, tol: float) -> bool:
-    """N and T_B' . N . T_B are both completely positive, with the partial
-    transposes taken on the declared input and output bipartitions."""
-    J = choi_of(channel)
-    scale = max(1.0, op_norm(J))
-    if float(np.linalg.eigvalsh(herm_part(J))[0]) < -tol * scale:
-        return False
-    bin_, bout = _require_bipartitions(channel)
-    Jt = _conjugated_choi(
-        channel.apply,
-        lambda m: partial_transpose(m, bin_, "B"),
-        lambda m: partial_transpose(m, bout, "B"),
-        channel.dim_in,
-    )
-    return float(np.linalg.eigvalsh(herm_part(Jt))[0]) >= -tol * scale
-
-
-def is_cpptp(channel: Channel, tol: float = 1e-9) -> bool:
+def is_cpptp(channel: Channel) -> bool:
     """True iff the map is CPTP and stays completely positive after
-    conjugation by the partial transposes on both sides."""
-    return choi_is_tp(channel, tol) and _cp_and_pt_conjugate_cp(channel, tol)
+    conjugation by the partial transposes on both sides.  A trace-preserving
+    map without both bipartitions raises ValueError."""
+    if not choi_is_tp(channel):
+        return False
+    bin_, bout = channel.bipartition_in, channel.bipartition_out
+    if bin_ is None or bout is None:
+        raise ValueError("the PPT-preserving check needs bipartitions on both sides")
+    return _cp_slack(channel, _pt(bin_), _pt(bout)) >= -_CHOI_TOL
 
 
 @dataclass(frozen=True)
 class Instrument:
-    """Collection of CP maps whose sum is trace preserving."""
+    """Collection of CP maps dims_in -> dims_out whose sum is trace preserving."""
 
     elements: tuple[KrausChannel, ...]
     dims_in: BipartitionDims
@@ -179,24 +177,19 @@ class Instrument:
         elements = tuple(self.elements)
         if not elements:
             raise ValueError("an instrument needs at least one element")
-        total = sum(
-            (k.conj().T @ k for el in elements for k in el.kraus_ops),
-            start=np.zeros((self.dims_in.total, self.dims_in.total), dtype=complex),
-        )
-        if op_norm(total - np.eye(self.dims_in.total)) > 1e-9:
+        din, dout = self.dims_in.total, self.dims_out.total
+        for idx, el in enumerate(elements):
+            if (el.dim_in, el.dim_out) != (din, dout):
+                raise ValueError(f"instrument element {idx} is not a map C^{din} -> C^{dout}")
+        if _tp_defect(sum(choi_of(el) for el in elements), din, dout) > _CHOI_TOL:
             raise ValueError("instrument elements do not sum to a trace-preserving map")
         object.__setattr__(self, "elements", elements)
 
-    def element_channels(self) -> list[KrausChannel]:
-        return [
-            replace(el, bipartition_in=self.dims_in, bipartition_out=self.dims_out)
-            for el in self.elements
-        ]
 
-
-def is_cpptp_instrument(instr: Instrument, tol: float = 1e-9) -> bool:
-    """Each element CP with CP partial-transpose conjugate, sum trace preserving."""
-    return all(_cp_and_pt_conjugate_cp(el, tol) for el in instr.element_channels())
+def is_cpptp_instrument(instr: Instrument) -> bool:
+    """Each element CP with CP partial-transpose conjugate (the sum is TP)."""
+    p_in, p_out = _pt(instr.dims_in), _pt(instr.dims_out)
+    return all(_cp_slack(el, p_in, p_out) >= -_CHOI_TOL for el in instr.elements)
 
 
 def instrument_outcomes(instr: Instrument, rho) -> list[tuple[float, BipartiteState]]:

@@ -96,16 +96,20 @@ def check_hermitian(M: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
         raise NonHermitianError(f"expected a square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise NonHermitianError("matrix has non-finite entries")
-    T, fro = M, frob_norm(M)
-    if not fro <= _RESCALE_ABOVE:  # ||M||_F bounds every entry, and may be inf
-        peak = max(float(np.abs(M.real).max()), float(np.abs(M.imag).max()))
-        if peak > _RESCALE_ABOVE:
-            T = M * 2.0 ** -math.frexp(peak)[1]
-            fro = frob_norm(T)
-    A = T - T.conj().T
-    bound = tol * fro / math.sqrt(max(T.shape[0], 1))
-    # written so that a NaN or infinite bound falls through to the SVD test
-    if _PRETEST_MIN_BOUND <= bound < math.inf and frob_norm(A) <= _PRETEST_MARGIN * bound:
+    # A Frobenius norm overflows to inf once an entry passes about 1e154;
+    # both stages read an inf norm as intended, so numpy's warning is noise.
+    with np.errstate(over="ignore"):
+        T, fro = M, frob_norm(M)
+        if not fro <= _RESCALE_ABOVE:  # ||M||_F bounds every entry, and may be inf
+            peak = max(float(np.abs(M.real).max()), float(np.abs(M.imag).max()))
+            if peak > _RESCALE_ABOVE:
+                T = M * 2.0 ** -math.frexp(peak)[1]
+                fro = frob_norm(T)
+        A = T - T.conj().T
+        bound = tol * fro / math.sqrt(max(T.shape[0], 1))
+        # written so that a NaN or infinite bound falls through to the SVD test
+        passed = _PRETEST_MIN_BOUND <= bound < math.inf and frob_norm(A) <= _PRETEST_MARGIN * bound
+    if passed:
         return herm_part(M)
     if not op_norm(A) <= tol * max(op_norm(T), 1e-300):
         raise NonHermitianError(

@@ -23,8 +23,9 @@ maps without them are rejected rather than approximated.
 An instrument is free when P . N . P is completely positive for each element
 N: then N maps free states to free states, so the measure cannot increase on
 average (for P = T_B this is the completely-PPT-preserving condition).  The
-check uses the one conjugated Choi builder, ``linalg._conjugated_choi``, and
-the channel measure ``r_alpha_channel`` uses the one channel search,
+check is the one free-operation test, ``channels._cp_slack``, that
+``is_cpptp`` and ``is_cpptp_instrument`` run with P = T_B, and the channel
+measure ``r_alpha_channel`` uses the one channel search,
 ``channels._channel_search``, with input state Psi Psi^dag / ||Psi||^2.
 """
 
@@ -36,16 +37,14 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import _channel_search, choi_of, instrument_outcomes
+from .channels import _CHOI_TOL, _channel_search, _cp_slack, instrument_outcomes
 from .divergence import check_alpha
 from .errors import CommutationFailedError, UnsupportedMapError
 from .linalg import (
     BipartitionDims,
-    _conjugated_choi,
     check_hermitian,
     frob_norm,
     herm_part,
-    op_norm,
     partial_transpose,
     schatten_norm,
 )
@@ -232,22 +231,19 @@ def _audit(
     return lower, upper
 
 
-def _check_free_operation(instr, pmap: PositiveMapSpec, tol: float = 1e-9) -> None:
-    """Raise unless P . N . P is completely positive for every element N.
+def _check_free_operation(instr, pmap: PositiveMapSpec) -> None:
+    """Raise unless every element N and P . N . P are completely positive.
 
-    Each element is CP (it has Kraus operators), so N(sigma) >= 0 and
-    P(N(sigma)) = (P . N . P)(P(sigma)) >= 0 for every free sigma: the
-    instrument maps free states to free states.  For P = T_B this is the
-    completely-PPT-preserving condition.
+    Then N(sigma) >= 0 and P(N(sigma)) = (P . N . P)(P(sigma)) >= 0 for every
+    free sigma: the instrument maps free states to free states.  For P = T_B
+    this is the completely-PPT-preserving condition of ``is_cpptp_instrument``.
     """
     for idx, el in enumerate(instr.elements):
-        scale = max(1.0, op_norm(choi_of(el)))
-        J = _conjugated_choi(el.apply, pmap.apply, pmap.apply, pmap.dim)
-        lam = float(np.linalg.eigvalsh(herm_part(J))[0])
-        if lam < -tol * scale:
+        slack = _cp_slack(el, pmap.apply, pmap.apply)
+        if slack < -_CHOI_TOL:
             raise CommutationFailedError(
                 f"instrument element {idx}: P . N . P is not completely positive "
-                f"for map {pmap.name!r} (Choi eigenvalue {lam:.3g})"
+                f"for map {pmap.name!r} (relative Choi eigenvalue {slack:.3g})"
             )
 
 

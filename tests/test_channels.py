@@ -209,6 +209,20 @@ class TestInstruments:
         with pytest.raises(ValueError):
             Instrument((half,), DIMS22, DIMS22)
 
+    @pytest.mark.parametrize(
+        "element, dims_in, dims_out",
+        [
+            # trace preserving, but 4 -> 4 where the instrument declares 4 -> 6
+            (identity_channel(4), DIMS22, BipartitionDims(2, 3)),
+            # an isometry 4 -> 6 where the instrument declares 6 -> 6
+            (KrausChannel((np.eye(6, 4),), 4, 6), BipartitionDims(2, 3), BipartitionDims(2, 3)),
+        ],
+        ids=["output", "input"],
+    )
+    def test_rejects_elements_of_other_dimensions(self, element, dims_in, dims_out):
+        with pytest.raises(ValueError, match="instrument element 0 is not a map C\\^"):
+            Instrument((element,), dims_in, dims_out)
+
 
 class TestMonotonicity:
     def test_local_unitary_invariance(self):

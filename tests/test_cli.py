@@ -1,13 +1,22 @@
 import csv
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from alphaneg import cli
 from alphaneg.channels import werner_holevo_channel
 from alphaneg.cli import EXIT_INVALID, EXIT_OK, EXIT_OUT_OF_DOMAIN, EXIT_UNCONVERGED, main
 from alphaneg.linalg import BipartitionDims
-from alphaneg.states import load_state, random_state, save_state, werner_state
+from alphaneg.states import (
+    load_state,
+    no_convexity_fixture,
+    random_state,
+    save_state,
+    werner_state,
+)
 
 
 @pytest.fixture
@@ -250,3 +259,24 @@ def test_compute_prints_an_unconverged_result(npt_state, capsys):
     assert "iterations: 3\n" in out
     assert "converged: False\n" in out
     assert "diagnostic: projected gradient exhausted max_iter" in out
+
+
+def test_no_convexity_margin_reads_the_measured_values(capsys, monkeypatch):
+    # the mixture reads 5e-5 lower at every order: its rows still pass within
+    # 1e-4, and the printed margin must move by the same amount
+    mixed = no_convexity_fixture()[2].matrix
+    measure = cli.e_alpha
+
+    def shifted(rho, alpha, cfg):
+        result = measure(rho, alpha, cfg)
+        if np.array_equal(rho.matrix, mixed):
+            result = dataclasses.replace(result, value_bits=result.value_bits - 5e-5)
+        return result
+
+    monkeypatch.setattr(cli, "e_alpha", shifted)
+    assert main(["repro", "no-convexity"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.endswith("[PASS]") for line in lines[:-1])
+    assert lines[-1].startswith("convexity violation margin: ")
+    margin = float(lines[-1].split()[3])
+    assert margin == pytest.approx(math.log2(1.5) - 0.5 - 5e-5, abs=2e-6)

@@ -268,6 +268,23 @@ class TestCheckHermitian:
             with pytest.raises(NonHermitianError, match="not Hermitian within tolerance"):
                 check_hermitian(m)
 
+    @pytest.mark.parametrize(
+        "m, accepted",
+        [
+            (np.diag([1e300, 1e300]).astype(complex), True),
+            (np.array([[0, 1e300], [-1e300, 0]], dtype=complex), False),
+            # no rescale, but the squares of M - M^dag pass the float limit
+            (np.array([[0, 2.0**511], [-(2.0**511), 0]], dtype=complex), False),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_norm_overflow_warns_nothing(self, m, accepted):
+        if accepted:
+            assert check_hermitian(m).tobytes() == herm_part(m).tobytes()
+        else:
+            with pytest.raises(NonHermitianError, match="not Hermitian within tolerance"):
+                check_hermitian(m)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
     @pytest.mark.parametrize("kernel", [check_hermitian, hermitian_eig, psd_project])
     def test_rejects_non_finite_entries(self, bad, kernel):

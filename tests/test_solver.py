@@ -7,7 +7,7 @@ import pytest
 
 from alphaneg.divergence import binegativity_psd, log_negativity, mu_alpha
 from alphaneg.errors import NotPositiveDefiniteError
-from alphaneg.linalg import BipartitionDims, partial_transpose
+from alphaneg.linalg import BipartitionDims, partial_transpose, schatten_norm
 from alphaneg import solver
 from alphaneg.pptgeom import regularize
 from alphaneg.solver import (
@@ -205,6 +205,18 @@ class TestEKappa:
             tracemalloc.stop()
         assert converged and steps > 100
         assert peak < 6 * dims.total**4 * 16
+
+
+class TestKappaCore:
+    @pytest.mark.parametrize("dims, seed", [((2, 2), 1), ((2, 3), 2), ((3, 3), 3)])
+    def test_identity_map_gives_the_trace_norm(self, dims, seed):
+        # with P the identity the program is min Tr S s.t. -S <= X <= S, whose
+        # value is ||X||_1 in closed form
+        dims = BipartitionDims(*dims)
+        X = partial_transpose(random_state(dims, dims.total, seed=seed).matrix, dims)
+        value, _, _, converged = solver._kappa_core(X, lambda m: m)
+        assert converged
+        assert value == pytest.approx(schatten_norm(X, 1), rel=1e-9, abs=0)
 
 
 class TestKronInto:
