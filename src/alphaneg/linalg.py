@@ -84,23 +84,23 @@ def check_hermitian(M: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     squares of A's entries can underflow to zero) and a margin for rounding.
     Every other matrix gets the two-SVD test, so the accepted set, the error
     and the returned bits are those of the SVD test alone.  Non-finite
-    entries are rejected first, and a NaN norm (M - M^dag overflowing) fails
-    the SVD test.  When the largest real or imaginary part exceeds 2**512,
-    both stages run on M * 2**-e, with e its binary exponent: the scaling is
-    exact and the rule is relative, so the decision is unchanged, where the
-    unscaled SVD could overflow to inf and accept.  The returned matrix is
-    always herm_part(M).
+    entries make ``||M||_F`` inf or NaN and are rejected before either stage,
+    and a NaN norm (M - M^dag overflowing) fails the SVD test.  A Frobenius
+    norm overflows to inf once an entry passes about 1e154, which both stages
+    read as intended, so numpy's overflow warning is silenced.  When the
+    largest real or imaginary part exceeds 2**512, both stages run on
+    M * 2**-e, with e its binary exponent: the scaling is exact and the rule
+    is relative, so the decision is unchanged, where the unscaled SVD could
+    overflow to inf and accept.  The returned matrix is always herm_part(M).
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NonHermitianError(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise NonHermitianError("matrix has non-finite entries")
-    # A Frobenius norm overflows to inf once an entry passes about 1e154;
-    # both stages read an inf norm as intended, so numpy's warning is noise.
     with np.errstate(over="ignore"):
         T, fro = M, frob_norm(M)
         if not fro <= _RESCALE_ABOVE:  # ||M||_F bounds every entry, and may be inf
+            if not np.isfinite(M).all():
+                raise NonHermitianError("matrix has non-finite entries")
             peak = max(float(np.abs(M.real).max()), float(np.abs(M.imag).max()))
             if peak > _RESCALE_ABOVE:
                 T = M * 2.0 ** -math.frexp(peak)[1]
