@@ -10,9 +10,9 @@ extend the sandwiched Renyi and max relative entropies to Hermitian first
 arguments, which is exactly what negativity-style entanglement measures need:
 the first argument is a partial transpose and may fail to be PSD.
 
-The order endpoints are handled by dedicated branches (support-projector
-conjugation at alpha=1, the weighted operator norm at alpha=inf) instead of
-evaluating the exponent near its singular limits.
+One formula serves every order: the exponent p = (1-alpha)/(2alpha) is
+exactly 0 at alpha=1, where sigma^0 on its support is the support projector,
+and -1/2 at alpha=inf, where the Schatten norm is the operator norm.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from .linalg import (
     partial_transpose,
     schatten_norm,
     support_leq,
-    support_projector,
 )
-from .states import as_state
+from .states import STATE_ATOL, as_state
 
 INF = math.inf
 
@@ -58,29 +57,22 @@ def _check_pair(X: np.ndarray, sigma: np.ndarray):
 def mu_alpha(X: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """Weighted Schatten-alpha functional of Hermitian X relative to PSD sigma.
 
-    Returns +inf when supp(X) is not contained in supp(sigma).
+    Returns +inf when supp(X) is not contained in supp(sigma), and raises
+    NegativeSpectrumError at every order when sigma has a negative eigenvalue
+    beyond the support tolerance.
     """
     alpha = check_alpha(alpha)
     X, sigma = _check_pair(X, sigma)
     if not support_leq(X, sigma):
         return INF
-    if alpha == 1:
-        proj = support_projector(sigma)
-        return schatten_norm(proj @ X @ proj, 1)
-    if math.isinf(alpha):
-        inv_sqrt = matrix_power_support(sigma, -0.5)
-        return schatten_norm(inv_sqrt @ X @ inv_sqrt, INF)
-    p = (1 - alpha) / (2 * alpha)
+    p = -0.5 if math.isinf(alpha) else (1 - alpha) / (2 * alpha)
     sp = matrix_power_support(sigma, p)
     return schatten_norm(sp @ X @ sp, alpha)
 
 
 def nu_alpha(X: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """log2 of mu_alpha; +inf propagates."""
-    mu = mu_alpha(X, sigma, alpha)
-    if math.isinf(mu):
-        return INF
-    return math.log2(mu)
+    return math.log2(mu_alpha(X, sigma, alpha))
 
 
 def d_max(X: np.ndarray, sigma: np.ndarray) -> float:
@@ -97,11 +89,8 @@ def sandwiched_renyi(X: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     alpha = check_alpha(alpha)
     if alpha == 1:
         raise AlphaOutOfRangeError("sandwiched Renyi prefactor is singular at alpha = 1")
-    nu = nu_alpha(X, sigma, alpha)
-    if math.isinf(nu):
-        return INF
     factor = 1.0 if math.isinf(alpha) else alpha / (alpha - 1)
-    return factor * nu
+    return factor * nu_alpha(X, sigma, alpha)
 
 
 def gamma_conjugate(X: np.ndarray, sigma: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -119,7 +108,7 @@ def weighted_norm(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
 
     At p = inf the weight drops out and this is the plain operator norm.
     """
-    if p < 1:
+    if not p >= 1:
         raise AlphaOutOfRangeError(f"norm order must be >= 1, got {p}")
     X = check_hermitian(X)
     w, v = hermitian_eig(sigma)
@@ -135,13 +124,18 @@ def log_negativity(rho) -> float:
     """log2 of the trace norm of the partial transpose of a bipartite state."""
     rho = as_state(rho)
     pt = partial_transpose(rho.matrix, rho.dims, "B")
-    # a valid state has trace-norm >= 1 after partial transposition; clamp the
-    # rounding noise so PPT states report exactly zero
-    return max(0.0, math.log2(schatten_norm(pt, 1)))
+    return _log2_trace_norm(pt)
 
 
-def binegativity_psd(rho, tol: float = 1e-9) -> bool:
-    """True iff the partial transpose of |T_B(rho)| is PSD.
+def _log2_trace_norm(X: np.ndarray) -> float:
+    """The order-1 value max(0, log2 ||X||_1) of a map's image X of a state."""
+    # a valid state has trace-norm >= 1 after a trace-preserving map; clamp the
+    # rounding noise so free states report exactly zero
+    return max(0.0, math.log2(schatten_norm(X, 1)))
+
+
+def binegativity_psd(rho) -> bool:
+    """True iff the partial transpose of |T_B(rho)| is PSD, within STATE_ATOL.
 
     States with this property have one common value for the whole measure
     family (pure states, two-qubit states, Werner states among them).
@@ -151,7 +145,7 @@ def binegativity_psd(rho, tol: float = 1e-9) -> bool:
     w, v = hermitian_eig(pt)
     absolute = (v * np.abs(w)) @ v.conj().T
     back = partial_transpose(herm_part(absolute), rho.dims, "B")
-    return float(np.linalg.eigvalsh(back)[0]) >= -tol
+    return float(np.linalg.eigvalsh(back)[0]) >= -STATE_ATOL
 
 
 def classical_relative_entropy(p, q) -> float:

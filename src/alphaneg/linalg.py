@@ -11,8 +11,9 @@ module owns the conventions:
   Frobenius-norm bound that implies it, which every exactly Hermitian matrix
   (such as the iterates of the projections) passes, and gives only the rest
   the two SVDs, so it accepts exactly what the SVD test accepts;
-* eigenvalues at or below ``tol * lambda_max`` count as zero wherever a support
-  decision is made (generalized powers, support inclusion tests).
+* ``matrix_power_support`` makes the one support decision: eigenvalues at or
+  below ``tol * lambda_max`` count as zero, so sigma^0 is the support
+  projector, which the support inclusion test ``support_leq`` reads too.
 """
 
 from __future__ import annotations
@@ -207,21 +208,21 @@ def _permutation_of(P: np.ndarray) -> np.ndarray | None:
     return perm
 
 
-def hermitian_eig(H: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (w, v) of a (tolerantly) Hermitian matrix, as
+def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of a Hermitian matrix within HERMITICITY_TOL, as
     ``numpy.linalg.eigh`` returns it: ascending eigenvalues and the unitary
     whose columns are the eigenvectors.
 
     The input is symmetrized before the decomposition, so the reconstruction
     matches the symmetrized matrix to solver precision.
     """
-    return np.linalg.eigh(check_hermitian(H, tol))
+    return np.linalg.eigh(check_hermitian(H))
 
 
 def schatten_norm(M: np.ndarray, alpha: float) -> float:
     """Schatten norm (sum of singular values^alpha)^(1/alpha); alpha=inf gives
     the operator norm."""
-    if alpha < 1:
+    if not alpha >= 1:
         raise AlphaOutOfRangeError(f"Schatten order must be >= 1, got {alpha}")
     s = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
     if np.isinf(alpha):
@@ -235,24 +236,13 @@ def schatten_norm(M: np.ndarray, alpha: float) -> float:
     return smax * float(np.sum((s / smax) ** alpha)) ** (1.0 / alpha)
 
 
-def _support_cut(w: np.ndarray, tol: float) -> np.ndarray:
-    """Boolean mask of eigenvalues counted as part of the support."""
-    lam_max = float(np.max(np.abs(w))) if w.size else 0.0
-    return np.abs(w) > tol * lam_max
-
-
-def support_projector(H: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the support of a Hermitian matrix."""
-    w, v = hermitian_eig(H)
-    v = v[:, _support_cut(w, tol)]
-    return v @ v.conj().T
-
-
 def matrix_power_support(H: np.ndarray, p: float, tol: float = SUPPORT_TOL) -> np.ndarray:
     """Generalized matrix power of a PSD matrix, taken on its support.
 
     Eigenvalues at or below ``tol * lambda_max`` map to zero; the rest map to
-    lambda^p (negative p gives the generalized inverse power).
+    lambda^p (p = 0 gives the support projector, negative p the generalized
+    inverse power).  A negative eigenvalue below ``-tol * lambda_max`` raises
+    NegativeSpectrumError.
     """
     w, v = hermitian_eig(H)
     lam_max = float(np.max(np.abs(w))) if w.size else 0.0
@@ -260,17 +250,19 @@ def matrix_power_support(H: np.ndarray, p: float, tol: float = SUPPORT_TOL) -> n
         raise NegativeSpectrumError(
             f"matrix has negative eigenvalue {w[0]:.3e} beyond tolerance"
         )
-    mask = _support_cut(w, tol)
+    mask = np.abs(w) > tol * lam_max
     powered = np.zeros_like(w)
     powered[mask] = np.clip(w[mask], 0.0, None) ** p if p >= 0 else w[mask] ** p
     return herm_part((v * powered) @ v.conj().T)
 
 
-def support_leq(X: np.ndarray, sigma: np.ndarray, tol: float = SUPPORT_TOL) -> bool:
-    """True iff the support of Hermitian X lies inside the support of PSD sigma."""
+def support_leq(X: np.ndarray, sigma: np.ndarray) -> bool:
+    """True iff the support of Hermitian X lies inside that of PSD sigma, within
+    ``SUPPORT_TOL``.  The support is ``matrix_power_support``'s, so a sigma with
+    a negative eigenvalue beyond the tolerance raises NegativeSpectrumError."""
     X = check_hermitian(X)
-    comp = np.eye(sigma.shape[0]) - support_projector(sigma, tol)
-    return op_norm(comp @ X @ comp) <= tol and op_norm(comp @ X) <= tol
+    comp = np.eye(sigma.shape[0]) - matrix_power_support(sigma, 0.0)
+    return op_norm(comp @ X @ comp) <= SUPPORT_TOL and op_norm(comp @ X) <= SUPPORT_TOL
 
 
 def psd_project(H: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import _CHOI_TOL, _channel_search, _cp_slack, instrument_outcomes
-from .divergence import check_alpha
+from .divergence import _log2_trace_norm, check_alpha
 from .errors import CommutationFailedError, UnsupportedMapError
 from .linalg import (
     BipartitionDims,
@@ -46,7 +46,6 @@ from .linalg import (
     frob_norm,
     herm_part,
     partial_transpose,
-    schatten_norm,
 )
 from .pptgeom import interior_point, regularize
 from .solver import (
@@ -114,18 +113,18 @@ def _require_dim(pmap: PositiveMapSpec, dim: int, what: str) -> None:
         )
 
 
-def free_membership(sigma, pmap: PositiveMapSpec, tol: float = 1e-9) -> bool:
-    """True iff sigma and P(sigma) are PSD and sigma has unit trace, within tol."""
+def free_membership(sigma, pmap: PositiveMapSpec) -> bool:
+    """True iff sigma and P(sigma) are PSD and sigma has unit trace, within STATE_ATOL."""
     if isinstance(sigma, BipartiteState):
         m = sigma.matrix
     else:
         m = check_hermitian(np.asarray(sigma, dtype=complex))
     _require_dim(pmap, m.shape[0], "state dimension")
-    if abs(np.trace(m).real - 1.0) > tol:
+    if abs(np.trace(m).real - 1.0) > STATE_ATOL:
         return False
-    if float(np.linalg.eigvalsh(m)[0]) < -tol:
+    if float(np.linalg.eigvalsh(m)[0]) < -STATE_ATOL:
         return False
-    return float(np.linalg.eigvalsh(herm_part(pmap.apply(m)))[0]) >= -tol
+    return float(np.linalg.eigvalsh(herm_part(pmap.apply(m)))[0]) >= -STATE_ATOL
 
 
 def r_alpha(rho, pmap: PositiveMapSpec, alpha: float, cfg: SolverConfig = DEFAULT_CONFIG) -> MeasureResult:
@@ -134,7 +133,7 @@ def r_alpha(rho, pmap: PositiveMapSpec, alpha: float, cfg: SolverConfig = DEFAUL
     rho = as_state(rho)
     _require_dim(pmap, rho.dims.total, "state dimension")
     X = herm_part(pmap.apply(rho.matrix))
-    lower = max(0.0, math.log2(schatten_norm(X, 1)))
+    lower = _log2_trace_norm(X)
     return _measure(
         rho, X, pmap.apply, lower, alpha, cfg,
         lambda result: _audit(rho, result, pmap.apply, lower, cfg),

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from alphaneg.channels import Instrument, KrausChannel, channel_e_alpha, werner_holevo_channel
 from alphaneg.divergence import (
     binegativity_psd,
+    check_alpha,
     classical_relative_entropy,
     d_max,
     gamma_conjugate,
@@ -16,13 +20,21 @@ from alphaneg.divergence import (
 )
 from alphaneg.errors import (
     AlphaOutOfRangeError,
+    NegativeSpectrumError,
     NotPositiveDefiniteError,
     ZeroOperatorError,
 )
 from alphaneg.linalg import BipartitionDims, matrix_power_support, schatten_norm
+from alphaneg.resource import (
+    builtin_map,
+    free_instrument_monotonicity_check,
+    r_alpha,
+    r_alpha_channel,
+)
+from alphaneg.solver import alpha_sweep, e_alpha, objective_and_gradient
 from alphaneg.states import BipartiteState, max_entangled, random_state, werner_state
 
-from conftest import random_hermitian, random_pd
+from conftest import random_hermitian, random_pd, random_psd
 
 X_HALF = np.diag([0.5, -0.5]).astype(complex)
 EYE_HALF = (np.eye(2) / 2).astype(complex)
@@ -58,6 +70,37 @@ class TestMuAlpha:
     def test_support_violation_is_inf(self):
         for alpha in (1, 2, 7.5, math.inf):
             assert mu_alpha(np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), alpha) == math.inf
+            if alpha > 1:
+                assert sandwiched_renyi(np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), alpha) == math.inf
+
+    def test_rejects_negative_spectrum_at_every_order(self):
+        sigma = np.diag([1.0, -0.5])
+        for alpha in (1, 2, math.inf):
+            with pytest.raises(NegativeSpectrumError):
+                mu_alpha(X_HALF, sigma, alpha)
+            with pytest.raises(NegativeSpectrumError):
+                nu_alpha(X_HALF, sigma, alpha)
+
+    def test_order_one_on_rank_deficient_sigma(self, rng):
+        # sigma^0 on the support is the projector P onto it
+        for _ in range(5):
+            sigma = random_psd(rng, 4, rank=2)
+            w, v = np.linalg.eigh(sigma)
+            proj = v[:, 2:] @ v[:, 2:].conj().T
+            x = proj @ random_hermitian(rng, 4) @ proj
+            expect = schatten_norm(proj @ x @ proj, 1)
+            assert abs(mu_alpha(x, sigma, 1) - expect) < 1e-10 * expect
+
+    def test_order_inf_on_rank_deficient_sigma(self, rng):
+        # the inverse square root taken on the support of sigma
+        for _ in range(5):
+            sigma = random_psd(rng, 4, rank=3)
+            w, v = np.linalg.eigh(sigma)
+            inv_sqrt = (v[:, 1:] * w[1:] ** -0.5) @ v[:, 1:].conj().T
+            proj = v[:, 1:] @ v[:, 1:].conj().T
+            x = proj @ random_hermitian(rng, 4) @ proj
+            expect = schatten_norm(inv_sqrt @ x @ inv_sqrt, math.inf)
+            assert abs(mu_alpha(x, sigma, math.inf) - expect) < 1e-9 * expect
 
     def test_rejects_zero_operators(self):
         with pytest.raises(ZeroOperatorError):
@@ -97,6 +140,7 @@ class TestDMax:
 
     def test_support_violation(self):
         assert d_max(np.diag([1.0, -1.0]), np.diag([1.0, 0.0])) == math.inf
+        assert sandwiched_renyi(np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), math.inf) == math.inf
 
     def test_matches_scan_oracle(self, rng):
         for _ in range(10):
@@ -276,3 +320,36 @@ class TestDivergenceInvariants:
 
         report = regularization_continuity_battery(seed=17, instances=15)
         assert report.passed, report
+
+
+BELL = max_entangled(2)
+PT22 = builtin_map("partial_transpose", BipartitionDims(2, 2))
+ID22 = KrausChannel((np.eye(4, dtype=complex),), 4, 4, BipartitionDims(2, 2), BipartitionDims(2, 2))
+# Every public function that takes an order, on small valid inputs.
+ORDER_TAKERS = {
+    "check_alpha": check_alpha,
+    "mu_alpha": lambda a: mu_alpha(X_HALF, EYE_HALF, a),
+    "nu_alpha": lambda a: nu_alpha(X_HALF, EYE_HALF, a),
+    "sandwiched_renyi": lambda a: sandwiched_renyi(X_HALF, EYE_HALF, a),
+    "weighted_norm": lambda a: weighted_norm(X_HALF, EYE_HALF, a),
+    "schatten_norm": lambda a: schatten_norm(X_HALF, a),
+    "objective_and_gradient": lambda a: objective_and_gradient(X_HALF, EYE_HALF, a),
+    "e_alpha": lambda a: e_alpha(BELL, a),
+    "alpha_sweep": lambda a: alpha_sweep(BELL, [1.0, a]),
+    "r_alpha": lambda a: r_alpha(BELL, PT22, a),
+    "free_instrument_monotonicity_check": lambda a: free_instrument_monotonicity_check(
+        Instrument((ID22,), ID22.bipartition_in, ID22.bipartition_out), BELL, PT22, a
+    ),
+    "channel_e_alpha": lambda a: channel_e_alpha(werner_holevo_channel(1.0, 2), a),
+    "r_alpha_channel": lambda a: r_alpha_channel(ID22, PT22, a),
+}
+
+
+class TestOrderGuard:
+    @pytest.mark.parametrize("name", sorted(ORDER_TAKERS))
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.floats(max_value=1.0, exclude_max=True))
+    @example(order=math.nan)
+    def test_rejects_nan_and_orders_below_one(self, name, order):
+        with pytest.raises(AlphaOutOfRangeError):
+            ORDER_TAKERS[name](order)

@@ -359,6 +359,11 @@ class TestSupportLeq:
         x = proj @ random_hermitian(rng, 4) @ proj
         assert support_leq(x, sigma)
 
+    def test_rejects_negative_spectrum(self):
+        # the support is matrix_power_support's, which rejects a non-PSD sigma
+        with pytest.raises(NegativeSpectrumError):
+            support_leq(np.diag([0.5, -0.5]), np.diag([1.0, -0.5]))
+
 
 class TestPsdProject:
     def test_psd_fixed_point(self, rng):

@@ -7,6 +7,7 @@ from alphaneg.suites import (
     faithfulness_suite,
     monotonicity_suite,
     ordering_suite,
+    run_suite,
     subadditivity_suite,
 )
 
@@ -42,3 +43,18 @@ def test_measure_suites_pass_at_smoke_size(suite, args, checked):
     report = suite(0, *args)
     assert report.checked == checked
     assert report.passed, report
+
+
+def test_lemma_batteries_pass_at_smoke_size():
+    # ``check --suite lemmas --smoke``: these drive mu_alpha at every order
+    reports = run_suite("lemmas", 0, smoke=True)
+    assert [(r.name, r.checked) for r in reports] == [
+        ("data-processing", 100),
+        ("cq-blocks", 100),
+        ("trace-norm-bound", 100),
+        ("normalized-ordering", 60),
+        ("plain-ordering", 120),
+        ("divergence-convexity", 720),
+        ("regularization-continuity", 60),
+    ]
+    assert all(r.passed for r in reports), reports
