@@ -85,7 +85,7 @@ class TestMuAlpha:
         # sigma^0 on the support is the projector P onto it
         for _ in range(5):
             sigma = random_psd(rng, 4, rank=2)
-            w, v = np.linalg.eigh(sigma)
+            _, v = np.linalg.eigh(sigma)
             proj = v[:, 2:] @ v[:, 2:].conj().T
             x = proj @ random_hermitian(rng, 4) @ proj
             expect = schatten_norm(proj @ x @ proj, 1)
