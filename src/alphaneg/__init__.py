@@ -5,12 +5,10 @@ from .divergence import (
     binegativity_psd,
     classical_relative_entropy,
     d_max,
-    gamma_conjugate,
     log_negativity,
     mu_alpha,
     nu_alpha,
     sandwiched_renyi,
-    weighted_norm,
 )
 from .errors import (
     AlphanegError,
@@ -44,7 +42,6 @@ from .solver import (
     bracket,
     e_alpha,
     e_kappa,
-    objective_and_gradient,
 )
 from .states import (
     BipartiteState,
@@ -63,7 +60,6 @@ from .channels import (
     Instrument,
     KrausChannel,
     SuperOperator,
-    bosonic_value,
     channel_e_alpha,
     choi_of,
     instrument_outcomes,
@@ -76,7 +72,6 @@ from .resource import (
     PositiveMapSpec,
     builtin_map,
     free_instrument_monotonicity_check,
-    free_membership,
     r_alpha,
     r_alpha_channel,
 )

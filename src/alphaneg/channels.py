@@ -30,11 +30,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 from scipy import optimize
 
+from .divergence import check_alpha
 from .errors import InvalidStateError, OutOfDomainError
 from .linalg import (
     BipartitionDims,
@@ -285,6 +285,7 @@ def channel_e_alpha(
     ``_channel_search`` runs over the amplitude matrix Psi of the input; each
     evaluation measures the reference:output state of Psi.
     """
+    check_alpha(alpha)
     cfg = cfg or DEFAULT_CONFIG
     inner_cfg = replace(cfg, with_bracket=False)
     return _channel_search(
@@ -299,13 +300,17 @@ def channel_e_alpha(
 # named channel families
 
 
-def werner_holevo_channel(p: float, d: int) -> SuperOperator:
-    """Mixture of the two extreme swap-symmetric channels; the Choi state is
-    the corresponding mixture of normalized (anti)symmetric projectors."""
+def _check_werner_holevo(p: float, d: int) -> None:
     if d < 2:
         raise OutOfDomainError(f"local dimension must be >= 2, got {d}")
     if not 0 <= p <= 1:
         raise OutOfDomainError(f"mixing weight must lie in [0, 1], got {p}")
+
+
+def werner_holevo_channel(p: float, d: int) -> SuperOperator:
+    """Mixture of the two extreme swap-symmetric channels; the Choi state is
+    the corresponding mixture of normalized (anti)symmetric projectors."""
+    _check_werner_holevo(p, d)
     vec_eye = np.eye(d).reshape(-1)
     trace_to_eye = np.outer(vec_eye, vec_eye)
     transpose_perm = swap_operator(d)
@@ -316,53 +321,10 @@ def werner_holevo_channel(p: float, d: int) -> SuperOperator:
 
 def werner_holevo_value(p: float, d: int) -> float:
     """Closed-form channel measure value, identical for every order."""
-    if d < 2:
-        raise OutOfDomainError(f"local dimension must be >= 2, got {d}")
-    if not 0 <= p <= 1:
-        raise OutOfDomainError(f"mixing weight must lie in [0, 1], got {p}")
+    _check_werner_holevo(p, d)
     if p <= 0.5:
         return 0.0
     return math.log2((2.0 / d) * (2.0 * p - 1.0) + 1.0)
-
-
-def bosonic_value(kind: str, params: Sequence[float]) -> float:
-    """Closed-form values for the three Gaussian channel families.
-
-    thermal(eta, n_b):    log2((1+eta) / ((1-eta)(2 n_b + 1)))
-    amplifier(g, n_b):    log2((g+1) / ((g-1)(2 n_b + 1)))
-    additive(xi):         log2(1/xi)
-    """
-    params = [float(x) for x in params]
-    if kind == "thermal":
-        if len(params) != 2:
-            raise OutOfDomainError("thermal channel takes (eta, n_b)")
-        eta, nb = params
-        if not 0 < eta < 1:
-            raise OutOfDomainError(f"transmissivity must lie in (0, 1), got {eta}")
-        if not 0 < nb < eta / (1 - eta):
-            raise OutOfDomainError(
-                f"thermal photon number must lie in (0, {eta / (1 - eta):g}), got {nb}"
-            )
-        return math.log2((1 + eta) / ((1 - eta) * (2 * nb + 1)))
-    if kind == "amplifier":
-        if len(params) != 2:
-            raise OutOfDomainError("amplifier channel takes (g, n_b)")
-        g, nb = params
-        if not g > 1:
-            raise OutOfDomainError(f"gain must exceed 1, got {g}")
-        if not 0 < nb < 1 / (g - 1):
-            raise OutOfDomainError(
-                f"thermal photon number must lie in (0, {1 / (g - 1):g}), got {nb}"
-            )
-        return math.log2((g + 1) / ((g - 1) * (2 * nb + 1)))
-    if kind == "additive":
-        if len(params) != 1:
-            raise OutOfDomainError("additive-noise channel takes (xi,)")
-        (xi,) = params
-        if not 0 < xi < 1:
-            raise OutOfDomainError(f"noise variance must lie in (0, 1), got {xi}")
-        return math.log2(1 / xi)
-    raise OutOfDomainError(f"unknown channel family {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,7 @@ import numpy as np
 from . import __version__
 from .divergence import check_alpha, log_negativity
 from .errors import AlphanegError, NotConvergedError, OutOfDomainError
-from .channels import (
-    bosonic_value,
-    channel_e_alpha,
-    load_channel,
-    werner_holevo_channel,
-    werner_holevo_value,
-)
+from .channels import channel_e_alpha, load_channel, werner_holevo_channel, werner_holevo_value
 from .linalg import BipartitionDims
 from .pptgeom import project_ppt
 from .solver import SolverConfig, alpha_sweep, audit_monotonicity, e_alpha
@@ -196,21 +190,15 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-def _parse_family(spec: str):
-    name, _, rest = spec.partition(":")
-    params = [float(x) for x in rest.split(",")] if rest else []
-    return name, params
-
-
 def cmd_channel(args) -> int:
     if args.family:
-        name, params = _parse_family(args.family)
-        if name == "wh":
-            if len(params) != 2 or not params[1].is_integer():
-                raise OutOfDomainError("family wh takes p,d with d a finite integer")
-            value = werner_holevo_value(params[0], int(params[1]))
-        else:
-            value = bosonic_value(name, params)
+        name, _, rest = args.family.partition(":")
+        if name != "wh":
+            raise OutOfDomainError(f"unknown channel family {name!r}")
+        params = [float(x) for x in rest.split(",")] if rest else []
+        if len(params) != 2 or not params[1].is_integer():
+            raise OutOfDomainError("family wh takes p,d with d a finite integer")
+        value = werner_holevo_value(params[0], int(params[1]))
         print(f"value_bits: {_fmt(value, args.precision)}")
         return EXIT_OK
     if not args.channel:
@@ -378,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         default=None,
-        help="closed forms: wh:p,d | thermal:eta,nb | amplifier:g,nb | additive:xi",
+        help="wh:p,d",
     )
     p.set_defaults(func=cmd_channel)
 

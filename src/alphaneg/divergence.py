@@ -21,13 +21,12 @@ import math
 
 import numpy as np
 
-from .errors import AlphaOutOfRangeError, NotPositiveDefiniteError, ZeroOperatorError
+from .errors import AlphaOutOfRangeError, ZeroOperatorError
 from .linalg import (
     check_hermitian,
     herm_part,
     hermitian_eig,
     matrix_power_support,
-    op_norm,
     partial_transpose,
     schatten_norm,
     support_leq,
@@ -91,33 +90,6 @@ def sandwiched_renyi(X: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
         raise AlphaOutOfRangeError("sandwiched Renyi prefactor is singular at alpha = 1")
     factor = 1.0 if math.isinf(alpha) else alpha / (alpha - 1)
     return factor * nu_alpha(X, sigma, alpha)
-
-
-def gamma_conjugate(X: np.ndarray, sigma: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Conjugation sigma^(1/2) X sigma^(1/2), or its inverse for PD sigma."""
-    X = check_hermitian(X)
-    w, v = hermitian_eig(sigma)
-    if float(w[0]) <= 0:
-        raise NotPositiveDefiniteError("conjugation base must be positive definite")
-    half = (v * w ** (-0.5 if inverse else 0.5)) @ v.conj().T
-    return herm_part(half @ X @ half)
-
-
-def weighted_norm(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
-    """Weighted Schatten norm || sigma^(1/2p) X sigma^(1/2p) ||_p for PD sigma.
-
-    At p = inf the weight drops out and this is the plain operator norm.
-    """
-    if not p >= 1:
-        raise AlphaOutOfRangeError(f"norm order must be >= 1, got {p}")
-    X = check_hermitian(X)
-    w, v = hermitian_eig(sigma)
-    if float(w[0]) <= 0:
-        raise NotPositiveDefiniteError("weighted norm base must be positive definite")
-    if math.isinf(p):
-        return op_norm(X)
-    half = (v * w ** (1.0 / (2 * p))) @ v.conj().T
-    return schatten_norm(half @ X @ half, p)
 
 
 def log_negativity(rho) -> float:

@@ -92,7 +92,8 @@ def check_hermitian(M: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     largest real or imaginary part exceeds 2**512, both stages run on
     M * 2**-e, with e its binary exponent: the scaling is exact and the rule
     is relative, so the decision is unchanged, where the unscaled SVD could
-    overflow to inf and accept.  The returned matrix is always herm_part(M).
+    overflow to inf and accept.  The returned matrix is herm_part(M), halved
+    before the sum on that rescaled path so that it stays finite.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -110,13 +111,13 @@ def check_hermitian(M: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
         bound = tol * fro / math.sqrt(max(T.shape[0], 1))
         # written so that a NaN or infinite bound falls through to the SVD test
         passed = _PRETEST_MIN_BOUND <= bound < math.inf and frob_norm(A) <= _PRETEST_MARGIN * bound
-    if passed:
-        return herm_part(M)
-    if not op_norm(A) <= tol * max(op_norm(T), 1e-300):
+    if not passed and not op_norm(A) <= tol * max(op_norm(T), 1e-300):
         raise NonHermitianError(
             f"matrix is not Hermitian within tolerance {tol:g}"
         )
-    return herm_part(M)
+    if T is M:
+        return herm_part(M)
+    return M / 2 + M.conj().T / 2  # halved first: M + M^dag can overflow up here
 
 
 def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -8,7 +8,9 @@ barrier SDP at order infinity, and the bracket audit ``_audit``.  ``r_alpha``
 validates a ``PositiveMapSpec`` and calls the engine; ``solver.e_alpha``
 calls it with the partial transpose T_B, so the entanglement measure is the
 T_B case of this one, and ``solver.e_kappa`` is ``e_alpha`` at order
-infinity.  Every outcome comes back in the ``MeasureResult``.
+infinity.  Every outcome comes back in the ``MeasureResult``.  The engine's
+P(rho) >= 0 test is the one free-state test; ``states.ppt_membership`` is the
+same test for T_B.
 
 A library caller builds the ``PositiveMapSpec`` it needs; ``builtin_map``
 names only T_B, which is also the one map the CLI measures with.
@@ -42,7 +44,6 @@ from .divergence import _log2_trace_norm, check_alpha
 from .errors import CommutationFailedError, UnsupportedMapError
 from .linalg import (
     BipartitionDims,
-    check_hermitian,
     frob_norm,
     herm_part,
     partial_transpose,
@@ -111,20 +112,6 @@ def _require_dim(pmap: PositiveMapSpec, dim: int, what: str) -> None:
         raise UnsupportedMapError(
             f"map dimension {pmap.dim} does not match {what} {dim}"
         )
-
-
-def free_membership(sigma, pmap: PositiveMapSpec) -> bool:
-    """True iff sigma and P(sigma) are PSD and sigma has unit trace, within STATE_ATOL."""
-    if isinstance(sigma, BipartiteState):
-        m = sigma.matrix
-    else:
-        m = check_hermitian(np.asarray(sigma, dtype=complex))
-    _require_dim(pmap, m.shape[0], "state dimension")
-    if abs(np.trace(m).real - 1.0) > STATE_ATOL:
-        return False
-    if float(np.linalg.eigvalsh(m)[0]) < -STATE_ATOL:
-        return False
-    return float(np.linalg.eigvalsh(herm_part(pmap.apply(m)))[0]) >= -STATE_ATOL
 
 
 def r_alpha(rho, pmap: PositiveMapSpec, alpha: float, cfg: SolverConfig = DEFAULT_CONFIG) -> MeasureResult:
@@ -273,6 +260,7 @@ def r_alpha_channel(
 ):
     """Largest resourcefulness of N(Psi Psi^dag) over unit-norm amplitude
     matrices Psi, by the channel search ``channels._channel_search``."""
+    check_alpha(alpha)
     _require_dim(pmap, channel.dim_out, "channel output")
     out_dims = channel.bipartition_out or BipartitionDims(1, channel.dim_out)
     inner_cfg = replace(cfg, with_bracket=False)

@@ -272,7 +272,9 @@ def state_from_json(payload: dict, raw: bool = False):
             h = check_hermitian(m, STATE_ATOL)
         except Exception as exc:
             raise InvalidStateError(f"raw operator is not Hermitian: {exc}") from exc
-        if not np.all(np.isfinite(h)):
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite(m + m.conj().T).all()
+        if overflows:
             raise InvalidStateError("raw operator entries overflow when symmetrized")
         return dims, h
     return BipartiteState(dims, m)

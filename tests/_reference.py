@@ -1,10 +1,12 @@
 """Reference implementations that the tests compare the package against."""
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from alphaneg.channels import SuperOperator
+from alphaneg.errors import NotPositiveDefiniteError
 
 
 def subsystem_transpose(M: np.ndarray, dims: Sequence[int], which: Sequence[int]) -> np.ndarray:
@@ -41,3 +43,26 @@ def extend_apply(channel, rho_ra: np.ndarray, d_ref: int) -> np.ndarray:
             block = rho_ra[r * din : (r + 1) * din, s * din : (s + 1) * din]
             out[r * dout : (r + 1) * dout, s * dout : (s + 1) * dout] = channel.apply(block)
     return out
+
+
+def _pd_power(sigma: np.ndarray, p: float) -> np.ndarray:
+    w, v = np.linalg.eigh(sigma)
+    if float(w[0]) <= 0:
+        raise NotPositiveDefiniteError("conjugation base must be positive definite")
+    return (v * w**p) @ v.conj().T
+
+
+def gamma_conjugate(X: np.ndarray, sigma: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Conjugation Gamma_sigma(X) = sigma^(1/2) X sigma^(1/2), or its inverse,
+    for positive definite sigma."""
+    half = _pd_power(sigma, -0.5 if inverse else 0.5)
+    Y = half @ X @ half
+    return (Y + Y.conj().T) / 2
+
+
+def weighted_norm(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
+    """Weighted Schatten norm ||sigma^(1/2p) X sigma^(1/2p)||_p of Hermitian X
+    for positive definite sigma; at p = inf the weight drops out."""
+    half = _pd_power(sigma, 0.0 if math.isinf(p) else 1.0 / (2 * p))
+    mags = np.abs(np.linalg.eigvalsh(half @ X @ half))
+    return float(mags.max() if math.isinf(p) else np.sum(mags**p) ** (1.0 / p))

@@ -11,7 +11,6 @@ from alphaneg.channels import (
     Instrument,
     KrausChannel,
     SuperOperator,
-    bosonic_value,
     channel_e_alpha,
     channel_from_json,
     channel_output_state,
@@ -365,29 +364,6 @@ class TestWernerHolevo:
             werner_holevo_value(1.2, 2)
         with pytest.raises(OutOfDomainError):
             werner_holevo_channel(0.5, 1)
-
-
-class TestBosonic:
-    def test_thermal(self):
-        assert bosonic_value("thermal", (0.5, 0.25)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_additive(self):
-        assert bosonic_value("additive", (0.5,)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_amplifier(self):
-        assert bosonic_value("amplifier", (2.0, 0.5)) == pytest.approx(
-            math.log2(1.5), abs=1e-12
-        )
-
-    def test_domain_errors(self):
-        with pytest.raises(OutOfDomainError):
-            bosonic_value("thermal", (0.5, 2.0))  # photon number above eta/(1-eta)
-        with pytest.raises(OutOfDomainError):
-            bosonic_value("amplifier", (0.5, 0.1))
-        with pytest.raises(OutOfDomainError):
-            bosonic_value("additive", (1.5,))
-        with pytest.raises(OutOfDomainError):
-            bosonic_value("squeeze", (0.5,))
 
 
 class TestChannelJson:

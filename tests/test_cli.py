@@ -165,6 +165,15 @@ def test_werner_holevo_family_takes_an_integer_dimension(capsys, family, code, o
     assert captured.err == ("" if code == EXIT_OK else "error: family wh takes p,d with d a finite integer\n")
 
 
+@pytest.mark.parametrize("family", ["thermal:0.5,0.25", "amplifier:2,0.5", "additive:0.5", "wh2:0.75,2"])
+def test_only_the_werner_holevo_family_is_known(capsys, family):
+    assert main(["channel", "--family", family]) == EXIT_OUT_OF_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = family.partition(":")[0]
+    assert captured.err == f"error: unknown channel family {name!r}\n"
+
+
 def test_project_leaves_a_ppt_state_in_place(ppt_state, tmp_path):
     out = tmp_path / "projected.json"
     assert main(["project", str(ppt_state), "--out", str(out)]) == EXIT_OK

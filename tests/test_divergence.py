@@ -11,12 +11,10 @@ from alphaneg.divergence import (
     check_alpha,
     classical_relative_entropy,
     d_max,
-    gamma_conjugate,
     log_negativity,
     mu_alpha,
     nu_alpha,
     sandwiched_renyi,
-    weighted_norm,
 )
 from alphaneg.errors import (
     AlphaOutOfRangeError,
@@ -31,9 +29,10 @@ from alphaneg.resource import (
     r_alpha,
     r_alpha_channel,
 )
-from alphaneg.solver import alpha_sweep, e_alpha, objective_and_gradient
+from alphaneg.solver import alpha_sweep, e_alpha
 from alphaneg.states import BipartiteState, max_entangled, random_state, werner_state
 
+from _reference import gamma_conjugate, weighted_norm
 from conftest import random_hermitian, random_pd, random_psd
 
 X_HALF = np.diag([0.5, -0.5]).astype(complex)
@@ -325,15 +324,15 @@ class TestDivergenceInvariants:
 BELL = max_entangled(2)
 PT22 = builtin_map("partial_transpose", BipartitionDims(2, 2))
 ID22 = KrausChannel((np.eye(4, dtype=complex),), 4, 4, BipartitionDims(2, 2), BipartitionDims(2, 2))
+# beyond the channel search's input-dimension cap, so the order is seen first
+ID5 = KrausChannel((np.eye(5, dtype=complex),), 5, 5)
 # Every public function that takes an order, on small valid inputs.
 ORDER_TAKERS = {
     "check_alpha": check_alpha,
     "mu_alpha": lambda a: mu_alpha(X_HALF, EYE_HALF, a),
     "nu_alpha": lambda a: nu_alpha(X_HALF, EYE_HALF, a),
     "sandwiched_renyi": lambda a: sandwiched_renyi(X_HALF, EYE_HALF, a),
-    "weighted_norm": lambda a: weighted_norm(X_HALF, EYE_HALF, a),
     "schatten_norm": lambda a: schatten_norm(X_HALF, a),
-    "objective_and_gradient": lambda a: objective_and_gradient(X_HALF, EYE_HALF, a),
     "e_alpha": lambda a: e_alpha(BELL, a),
     "alpha_sweep": lambda a: alpha_sweep(BELL, [1.0, a]),
     "r_alpha": lambda a: r_alpha(BELL, PT22, a),
@@ -341,7 +340,11 @@ ORDER_TAKERS = {
         Instrument((ID22,), ID22.bipartition_in, ID22.bipartition_out), BELL, PT22, a
     ),
     "channel_e_alpha": lambda a: channel_e_alpha(werner_holevo_channel(1.0, 2), a),
+    "channel_e_alpha_dim5": lambda a: channel_e_alpha(ID5, a),
     "r_alpha_channel": lambda a: r_alpha_channel(ID22, PT22, a),
+    "r_alpha_channel_dim5": lambda a: r_alpha_channel(
+        ID5, builtin_map("partial_transpose", BipartitionDims(1, 5)), a
+    ),
 }
 
 

@@ -19,7 +19,6 @@ from alphaneg.resource import (
     _check_free_operation,
     builtin_map,
     free_instrument_monotonicity_check,
-    free_membership,
     r_alpha,
     r_alpha_channel,
 )
@@ -68,19 +67,29 @@ class TestPositiveMapSpec:
                 builtin_map(name, DIMS22)
 
 
+FREE = "input is free; measure vanishes identically"
+
+
 class TestFreeMembership:
+    """The engine's one free test: P(rho) >= 0 within STATE_ATOL gives 0."""
+
     def test_reduces_to_ppt(self):
         for seed in range(20):
             rho = random_state(DIMS22, (seed % 4) + 1, seed)
-            assert free_membership(rho, PT22) == ppt_membership(rho)
+            free = r_alpha(rho, PT22, 1.0, FAST).diagnostic == FREE
+            assert free == ppt_membership(rho)
 
     def test_full_transpose_every_state_free(self):
         spec = PositiveMapSpec(lambda m: m.T.copy(), 4, "transpose")
         for seed in range(10):
-            assert free_membership(random_state(DIMS22, 4, seed), spec)
+            rho = random_state(DIMS22, 4, seed)
+            for alpha in (1.0, 2.0, math.inf):
+                r = r_alpha(rho, spec, alpha, FAST)
+                assert (r.value_bits, r.diagnostic) == (0.0, FREE)
 
     def test_bell_not_free(self):
-        assert not free_membership(max_entangled(2), PT22)
+        r = r_alpha(max_entangled(2), PT22, 1.0, FAST)
+        assert r.value_bits > 0.99 and r.diagnostic != FREE
 
 
 class TestRAlpha:
@@ -150,8 +159,6 @@ class TestRAlpha:
         rho = random_state(BipartitionDims(2, 3), 3, seed=206)
         with pytest.raises(UnsupportedMapError):
             r_alpha(rho, PT22, 2.0, FAST)
-        with pytest.raises(UnsupportedMapError):
-            free_membership(rho, PT22)
 
 
 class TestOutcomesAreReturned:
