@@ -22,7 +22,12 @@ Three routes, one value scale (bits, log base 2):
   gives the same bits.  The Kronecker terms and the system are written into
   three D^2 x D^2 buffers allocated once per solve, with the same elementwise
   products and sums as fresh arrays would hold, so no step allocates at the
-  D^4 scale and the bits are again the same.
+  D^4 scale and the bits are again the same.  The system is Hermitian
+  positive definite, so it is solved by a Cholesky factorization done in
+  place on its buffer; the block inverses are taken Hermitian first, since
+  the factorization reads one triangle.  Should the factorization fail, the
+  system is re-formed from the other two buffers and solved by LU, then by
+  least squares.
 
 Both cores take the map as a callable, so they serve any positive map.  The
 branching between the routes, the PPT short-circuit and the bracket audit
@@ -48,6 +53,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .divergence import check_alpha, log_negativity
 from .errors import NotConvergedError, NotPositiveDefiniteError
@@ -392,6 +398,18 @@ def _kappa_core(
     ``np.kron``, and every sum and product has the same operands in the same
     order as with fresh arrays, so the buffers change no bit.  Delta and S are
     always fresh arrays, never views of a buffer.
+
+    The inverses A_i^-1 are taken through their Hermitian parts: near the
+    end of a solve the blocks are ill conditioned (condition numbers near
+    1e11), and a raw inverse is then non-Hermitian by about 3e-6 relative,
+    enough for the triangle a Cholesky factorization reads to fail to be
+    positive definite.  H is C-ordered, so its F-ordered view H.T holds
+    conj(H); that view is factored in place as L L^H, with no copy of H,
+    and conj(H) conj(Delta) = -conj(G) is solved with the factor.  The
+    factorization overwrites H, which loses nothing: H is A + B, gathered
+    first on the permutation branch, and both A and B are still intact.  If
+    it fails, H is re-formed from them and solved by LU, and by least
+    squares if LU fails too.
     """
     D = X.shape[0]
     Pm = (
@@ -415,6 +433,16 @@ def _kappa_core(
     total_newton = 0
     converged = True
 
+    def form_system():
+        # H = A + B, A gathered first on the permutation branch; A and B
+        # survive the solve, so this re-forms H after a failed factorization
+        if perm is None:
+            np.add(A, B, out=H)
+        else:
+            # mode="raise" would buffer the output; flat is in range
+            np.take(A, flat, out=H, mode="wrap")
+            np.add(H, B, out=H)
+
     def blocks(Smat):
         m = apply_map(Smat)
         return herm_part(m - X), herm_part(m + X), Smat
@@ -431,7 +459,7 @@ def _kappa_core(
     max_stages = 400
     for _ in range(max_stages):
         for _ in range(_BARRIER_MAX_NEWTON):
-            inv1, inv2, inv3 = (np.linalg.inv(b) for b in blocks(S))
+            inv1, inv2, inv3 = (herm_part(np.linalg.inv(b)) for b in blocks(S))
             g = (t * eye - apply_map(inv1 + inv2) - inv3).reshape(-1)
             _kron_into(inv1, A)
             _kron_into(inv2, B)
@@ -440,15 +468,19 @@ def _kappa_core(
             if perm is None:
                 np.matmul(PmH, A, out=H)
                 np.matmul(H, Pm, out=A)
-                np.add(A, B, out=H)
-            else:
-                # mode="raise" would buffer the output; flat is in range
-                np.take(A, flat, out=H, mode="wrap")
-                H += B
+            form_system()
             try:
-                delta = np.linalg.solve(H, -g)
+                # H.T is the F-ordered conj(H): factor it in place
+                factor = cho_factor(H.T, lower=True, overwrite_a=True, check_finite=False)
             except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(H, -g, rcond=None)[0]
+                form_system()  # the factorization overwrote H
+                try:
+                    delta = np.linalg.solve(H, -g)
+                except np.linalg.LinAlgError:
+                    delta = np.linalg.lstsq(H, -g, rcond=None)[0]
+            else:
+                # conj(H) conj(delta) = -conj(g)
+                delta = cho_solve(factor, -g.conj(), check_finite=False).conj()
             lam2 = -float(np.vdot(g, delta).real)
             total_newton += 1
             if lam2 / 2.0 <= 1e-11:

@@ -30,6 +30,22 @@ def rng():
     return np.random.default_rng(20240211)
 
 
+@pytest.fixture
+def fallback_solves(monkeypatch):
+    """Names of the LU and least-squares solves called while the fixture is
+    active.  The barrier core calls them only when its Cholesky
+    factorization fails, and no other package code calls them."""
+    calls = []
+    for name in ("solve", "lstsq"):
+
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 # Arbitrary JSON values, and JSON shaped like the state and channel formats:
 # dims lists and matrices of entry lists, mostly square with well-formed
 # [re, im] pairs.

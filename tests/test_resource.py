@@ -133,7 +133,7 @@ class TestRAlpha:
             assert lo <= hi + 2e-4
 
     @pytest.mark.parametrize("seed, newton_steps", [(100, 140), (101, 144), (102, 140)])
-    def test_conjugated_partial_transpose_at_order_inf(self, seed, newton_steps):
+    def test_conjugated_partial_transpose_at_order_inf(self, seed, newton_steps, fallback_solves):
         # P(X) = V T_B(V^dag X V) V^dag with V a global unitary is no index
         # permutation; sigma is free for P iff V^dag sigma V is PPT, so the
         # order-inf value is e_kappa(V^dag rho V).  A wrong but positive
@@ -154,6 +154,8 @@ class TestRAlpha:
         assert r.converged
         assert abs(r.value_bits - e_kappa(rotated).value_bits) <= 1e-10
         assert r.iterations == newton_steps
+        # every Newton system of the dense branch factors as positive definite
+        assert fallback_solves == []
 
     def test_map_dims_must_match_state(self):
         rho = random_state(BipartitionDims(2, 3), 3, seed=206)

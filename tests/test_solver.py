@@ -31,6 +31,7 @@ from alphaneg.states import (
 from conftest import random_hermitian
 
 DIMS22 = BipartitionDims(2, 2)
+KAPPA_TOL = 1e-7  # bits, the benchmark's tolerance on its kappa values
 FAST = dataclasses.replace(DEFAULT_CONFIG, with_bracket=False)
 
 
@@ -219,6 +220,54 @@ class TestKappaCore:
         value, _, _, converged = solver._kappa_core(X, lambda m: m)
         assert converged
         assert value == pytest.approx(schatten_norm(X, 1), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("dims, newton_steps", [((4, 4), 148), ((3, 5), 147)])
+    def test_benchmark_states_factor_every_step(self, fallback_solves, dims, newton_steps):
+        # the seed-0 kappa states of the benchmark: every Newton system of the
+        # gather branch factors as positive definite
+        rho = random_state(BipartitionDims(*dims), 3, 11)
+        r = e_kappa(rho)
+        assert r.converged and r.iterations == newton_steps
+        assert fallback_solves == []
+
+    @pytest.mark.parametrize("gather", [True, False])
+    def test_failed_factorization_reforms_the_system(self, monkeypatch, fallback_solves, gather):
+        # the factorization overwrites H in place; when it fails mid-solve
+        # the step must re-form H from the A and B buffers before the LU
+        # solve.  So a failure that overwrote H must give the same bits and
+        # step count as one that left H alone.  (The count may differ from
+        # the run with no failure: one LU solve's rounding can change where a
+        # barrier stage stops.)
+        dims = BipartitionDims(3, 3)
+        x = partial_transpose(random_state(dims, 3, 11).matrix, dims)
+        pt = lambda m: partial_transpose(m, dims, "B")
+        if not gather:
+            monkeypatch.setattr(solver, "_permutation_of", lambda Pm: None)
+        value, _, steps, _ = solver._kappa_core(x, pt)
+        real = solver.cho_factor
+
+        def fail_once(overwrite):
+            calls = []
+
+            def cho_factor(a, **kwargs):
+                calls.append(None)
+                if len(calls) == steps // 2:
+                    if overwrite:
+                        real(a, **kwargs)
+                    raise np.linalg.LinAlgError("forced")
+                return real(a, **kwargs)
+
+            monkeypatch.setattr(solver, "cho_factor", cho_factor)
+            result = solver._kappa_core(x, pt)
+            assert len(calls) == result[2]
+            return result
+
+        kept, overwritten = fail_once(False), fail_once(True)
+        assert fallback_solves == ["solve", "solve"]
+        assert overwritten[0].hex() == kept[0].hex()
+        assert np.array_equal(overwritten[1], kept[1])
+        assert overwritten[2] == kept[2]
+        assert overwritten[3] and abs(math.log2(overwritten[0]) - math.log2(value)) <= KAPPA_TOL
 
 
 class TestKronInto:
