@@ -228,18 +228,26 @@ def channel_output_state(channel: Channel, psi_matrix: np.ndarray) -> BipartiteS
     return BipartiteState(BipartitionDims(d_ref, dout), out)
 
 
-def _channel_search(d: int, measure, cfg, with_details: bool):
-    """Largest ``measure(psi)`` over unit-norm d x d amplitude matrices psi.
+def _channel_search(channel: Channel, measure, cfg, with_details: bool):
+    """Largest ``measure(psi)`` over unit-norm d x d amplitude matrices psi,
+    with d the channel's input dimension.
 
-    Seeded multi-start Nelder-Mead over the 2 d^2 real and imaginary parts of
-    psi, normalized before ``measure`` sees it; the first restart starts at
-    the maximally entangled I/sqrt(d).  A near-zero psi, or one whose image
-    fails the state checks, scores the penalty 1e6.  Returns the best value
-    (and the search details when ``with_details``); a restart spread above
-    ``value_tol`` is reported in the details rather than raised.
+    The channel must be CPTP, or ValueError is raised, so that every input
+    has a state as its image.  Seeded multi-start Nelder-Mead over the 2 d^2
+    real and imaginary parts of psi, normalized before ``measure`` sees it;
+    the first restart starts at the maximally entangled I/sqrt(d).  A
+    near-zero psi, or one whose image fails the state checks, scores the
+    penalty 1e6.  Returns the best value (and the search details when
+    ``with_details``); a restart spread above ``value_tol`` is reported in
+    the details rather than raised.
     """
+    d = channel.dim_in
     if d > 4:
         raise OutOfDomainError(f"channel search is desk-scale, input dimension must be <= 4, got {d}")
+    if not choi_is_tp(channel):
+        raise ValueError("channel is not trace-preserving")
+    if _cp_slack(channel, lambda m: m, lambda m: m) < -_CHOI_TOL:
+        raise ValueError("channel is not completely positive")
     n = d * d
 
     def objective(x: np.ndarray) -> float:
@@ -289,7 +297,7 @@ def channel_e_alpha(
     cfg = cfg or DEFAULT_CONFIG
     inner_cfg = replace(cfg, with_bracket=False)
     return _channel_search(
-        channel.dim_in,
+        channel,
         lambda psi: e_alpha(channel_output_state(channel, psi), alpha, inner_cfg).value_bits,
         cfg,
         with_details,

@@ -53,24 +53,18 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}f}"
 
 
+# solver flag (argparse dest) -> the SolverConfig field it sets
+_SOLVER_FLAGS = {"tol": "value_tol", "max_iter": "max_iter", "seed": "seed"}
+
+
+def _flag_overrides(args) -> dict:
+    """The solver flags given on the command line, by flag name."""
+    return {f: getattr(args, f) for f in _SOLVER_FLAGS if getattr(args, f, None) is not None}
+
+
 def _config_from_args(args) -> SolverConfig:
-    overrides = {}
-    if getattr(args, "tol", None) is not None:
-        overrides["value_tol"] = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        overrides["max_iter"] = args.max_iter
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return dataclasses.replace(SolverConfig(), **overrides)
-
-
-def _overrides_dict(args) -> dict:
-    out = {}
-    for key in ("tol", "max_iter"):
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    return out
+    fields = {_SOLVER_FLAGS[f]: value for f, value in _flag_overrides(args).items()}
+    return dataclasses.replace(SolverConfig(), **fields)
 
 
 def non_negative_int(text: str) -> int:
@@ -102,22 +96,6 @@ def _sweep_orders(args) -> list[float]:
     if not (lo <= hi and n >= 1):
         raise ValueError(f"grid {args.grid!r} needs lo <= hi and n >= 1")
     return list(np.linspace(lo, hi, n))
-
-
-def _write_manifest(out_path: Path, args, started: float, extra: dict | None = None) -> None:
-    manifest = {
-        "command": " ".join(sys.argv),
-        "inputs": [str(getattr(args, "state", "")) or str(getattr(args, "channel", ""))],
-        "config_overrides": _overrides_dict(args),
-        "output": str(out_path),
-        "wall_clock_seconds": round(time.time() - started, 3),
-        "tool_version": __version__,
-    }
-    if extra:
-        manifest.update(extra)
-    Path(str(out_path) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=1), encoding="utf-8"
-    )
 
 
 def _print_result(result, precision: int) -> None:
@@ -159,7 +137,18 @@ def cmd_sweep(args) -> int:
                     int(r.converged),
                 ]
             )
-    _write_manifest(out_path, args, started, {"alphas": [str(a) for a in alphas]})
+    manifest = {
+        "command": " ".join(sys.argv),
+        "inputs": [str(args.state)],
+        "config_overrides": _flag_overrides(args),
+        "output": str(out_path),
+        "wall_clock_seconds": round(time.time() - started, 3),
+        "tool_version": __version__,
+        "alphas": [str(a) for a in alphas],
+    }
+    Path(str(out_path) + ".manifest.json").write_text(
+        json.dumps(manifest, indent=1), encoding="utf-8"
+    )
     violations = audit_monotonicity(results, args.cfg.value_tol)
     if violations:
         print(

@@ -140,11 +140,12 @@ def _measure(
 
     X is P(rho) and ``lower`` the closed-form order-1 value.  A free input
     (P(rho) >= 0) short-circuits to zero; otherwise order 1 is closed form,
-    order infinity the SDP, checked against ``lower``, and the orders between
-    run projected gradient.  ``audit`` fills in and checks the bracket of
-    converged finite-order results: the public ``solver.bracket`` on the T_B
-    path, ``_audit`` for other maps.  An exhausted budget is returned, not
-    raised, with ``converged`` False and a diagnostic.
+    order infinity the SDP, and the orders between run projected gradient.
+    ``audit`` fills in and checks the bracket of converged finite-order
+    results: the public ``solver.bracket`` on the T_B path, ``_audit`` for
+    other maps; the SDP value is checked by ``_audit`` itself.  An exhausted
+    budget is returned, not raised, with ``converged`` False and a
+    diagnostic.
     """
     if float(np.linalg.eigvalsh(X)[0]) >= -STATE_ATOL:
         return MeasureResult(
@@ -157,24 +158,19 @@ def _measure(
             diagnostic="input is free; measure vanishes identically",
         )
     if math.isinf(alpha):
-        trace_val, S, iters, ok = _kappa_core(X, apply_map)
+        trace_val, S, iters = _kappa_core(X, apply_map)
         value = math.log2(trace_val)
-        S = herm_part(S)
         result = MeasureResult(
-            value, alpha, BipartiteState(rho.dims, S / np.trace(S).real), iters, ok, (lower, value)
+            value, alpha, BipartiteState(rho.dims, S / np.trace(S).real), iters, True, (lower, value)
         )
-        if not ok:
-            result.diagnostic = "barrier method exhausted its stage budget"
-        elif value < lower - cfg.value_tol:
-            result.converged = False
-            result.diagnostic = (
-                f"SDP value {value:.6f} fell below the closed-form lower endpoint {lower:.6f}"
-            )
+        # straight to _audit, not ``audit``: the SDP value is its own upper
+        # endpoint, so the public ``solver.bracket`` has nothing to solve
+        _audit(rho, result, apply_map, lower, cfg)
         return result
     if alpha == 1:
         result = MeasureResult(lower, 1.0, interior_point(rho.dims), 0, True, (lower, math.inf))
     else:
-        value, point, iters, ok = _pg_core(X, apply_map, rho.dims.total, alpha, cfg.max_iter)
+        value, point, iters, ok = _pg_core(X, apply_map, alpha, cfg.max_iter)
         result = MeasureResult(
             value, alpha, BipartiteState(rho.dims, point), iters, ok, (lower, math.inf)
         )
@@ -201,8 +197,7 @@ def _audit(
         upper = result.value_bits
     elif cfg.with_bracket:
         X = herm_part(apply_map(rho.matrix))
-        trace_val, _, _, ok = _kappa_core(X, apply_map)
-        upper = math.log2(trace_val) if ok else math.inf
+        upper = math.log2(_kappa_core(X, apply_map)[0])
     else:
         upper = math.inf
     result.bracket = (lower, upper)
@@ -269,4 +264,4 @@ def r_alpha_channel(
         state = BipartiteState(out_dims, herm_part(channel.apply(psi @ psi.conj().T)))
         return r_alpha(state, pmap, alpha, inner_cfg).value_bits
 
-    return _channel_search(channel.dim_in, measure, cfg, with_details)
+    return _channel_search(channel, measure, cfg, with_details)

@@ -104,11 +104,9 @@ class MeasureResult:
     """Every outcome of a measure solve; no ``NotConvergedError`` is raised.
 
     ``converged`` is False, and ``diagnostic`` says why, when projected
-    gradient exhausts ``max_iter``, when the barrier method exhausts its stage
-    budget, when a value escapes its bracket beyond ``value_tol``, or when the
-    SDP value falls below the closed-form lower endpoint; ``value_bits`` is
-    still the best value found.  A free input reads 0, converged, with a
-    diagnostic that says so.
+    gradient exhausts ``max_iter`` or when a value escapes its bracket beyond
+    ``value_tol``; ``value_bits`` is still the best value found.  A free
+    input reads 0, converged, with a diagnostic that says so.
     """
 
     value_bits: float
@@ -194,7 +192,6 @@ def _start_candidates(X: np.ndarray, apply_map, D: int) -> list[np.ndarray]:
 def _pg_core(
     X: np.ndarray,
     apply_map: Callable[[np.ndarray], np.ndarray],
-    D: int,
     alpha: float,
     max_iter: int,
 ):
@@ -209,6 +206,7 @@ def _pg_core(
 
     Returns (value_bits, best interior sigma, iterations, converged).
     """
+    D = X.shape[0]
     eye_over_d = np.eye(D, dtype=complex) / D
 
     def defect_of(m: np.ndarray) -> float:
@@ -335,8 +333,9 @@ def _pg_core(
 # barrier SDP core
 
 # Barrier weight t starts at _BARRIER_T_INIT and grows by _BARRIER_GROWTH per
-# stage until the duality-gap bound nu/t drops below _BARRIER_GAP_TOL; each
-# stage runs at most _BARRIER_MAX_NEWTON damped Newton steps.
+# stage until the duality-gap bound nu/t drops below _BARRIER_GAP_TOL, which
+# fixes the stage count in advance: 11 or 12 for D = 2 to 25, 14 at D = 1000.
+# Each stage runs at most _BARRIER_MAX_NEWTON damped Newton steps.
 _BARRIER_T_INIT = 1.0
 _BARRIER_GROWTH = 10.0
 _BARRIER_GAP_TOL = 1e-9
@@ -410,6 +409,8 @@ def _kappa_core(
     first on the permutation branch, and both A and B are still intact.  If
     it fails, H is re-formed from them and solved by LU, and by least
     squares if LU fails too.
+
+    Returns (Tr S, S, Newton steps), with S Hermitian.
     """
     D = X.shape[0]
     Pm = (
@@ -431,7 +432,6 @@ def _kappa_core(
     t = _BARRIER_T_INIT
     nu = 3.0 * D  # total barrier parameter of the three log-det blocks
     total_newton = 0
-    converged = True
 
     def form_system():
         # H = A + B, A gathered first on the permutation branch; A and B
@@ -456,8 +456,7 @@ def _kappa_core(
             total -= ld
         return total
 
-    max_stages = 400
-    for _ in range(max_stages):
+    while True:
         for _ in range(_BARRIER_MAX_NEWTON):
             inv1, inv2, inv3 = (herm_part(np.linalg.inv(b)) for b in blocks(S))
             g = (t * eye - apply_map(inv1 + inv2) - inv3).reshape(-1)
@@ -512,10 +511,8 @@ def _kappa_core(
         if nu / t < _BARRIER_GAP_TOL:
             break
         t *= _BARRIER_GROWTH
-    else:
-        converged = False
 
-    return float(np.trace(S).real), S, total_newton, converged
+    return float(np.trace(S).real), S, total_newton
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .errors import InvalidStateError
 from .linalg import (
     BipartitionDims,
     check_hermitian,
+    partial_trace,
     partial_transpose,
     permute_subsystems,
     tensor,
@@ -80,14 +81,9 @@ class PureState:
 
 
 def as_state(rho) -> BipartiteState:
-    """Pass through a BipartiteState, or wrap (dims, matrix) style input."""
+    """Pass a BipartiteState through; anything else is an InvalidStateError."""
     if isinstance(rho, BipartiteState):
         return rho
-    if isinstance(rho, tuple) and len(rho) == 2:
-        dims, matrix = rho
-        if not isinstance(dims, BipartitionDims):
-            dims = BipartitionDims(*dims)
-        return BipartiteState(dims, matrix)
     raise InvalidStateError(f"cannot interpret {type(rho).__name__} as a bipartite state")
 
 
@@ -177,18 +173,10 @@ def tripartite_marginal(psi: PureState, keep: tuple[int, int]) -> BipartiteState
         raise ValueError(f"expected a tripartite state, got dims {psi.dims}")
     i, j = keep
     k = ({0, 1, 2} - {i, j}).pop()
-    rho = psi.density()
-    tens = rho.reshape(psi.dims + psi.dims)
-    n = 3
-    reduced = np.trace(tens, axis1=k, axis2=k + n)
-    # after trace the remaining axes keep their original order
-    order = sorted([i, j])
-    d_i, d_j = psi.dims[order[0]], psi.dims[order[1]]
-    m = reduced.reshape(d_i * d_j, d_i * d_j)
-    if order != [i, j]:
-        m = permute_subsystems(m, (d_i, d_j), (1, 0))
-        d_i, d_j = d_j, d_i
-    return BipartiteState(BipartitionDims(psi.dims[i], psi.dims[j]), m)
+    d_i, d_j, d_k = (psi.dims[x] for x in (i, j, k))
+    m = permute_subsystems(psi.density(), psi.dims, (i, j, k))
+    reduced = partial_trace(m, BipartitionDims(d_i * d_j, d_k), "B")
+    return BipartiteState(BipartitionDims(d_i, d_j), reduced)
 
 
 def one_vs_rest(psi: PureState, first: int = 0) -> BipartiteState:

@@ -31,7 +31,7 @@ from alphaneg.linalg import (
     partial_transpose,
     tensor,
 )
-from alphaneg.resource import builtin_map, free_instrument_monotonicity_check
+from alphaneg.resource import builtin_map, free_instrument_monotonicity_check, r_alpha_channel
 from alphaneg.solver import DEFAULT_CONFIG
 from alphaneg.states import (
     BipartiteState,
@@ -331,6 +331,28 @@ class TestChannelMeasure:
     def test_rejects_large_input(self):
         with pytest.raises(OutOfDomainError):
             channel_e_alpha(identity_channel(5), 2.0, FAST)
+
+    @pytest.mark.parametrize(
+        "channel, reason",
+        [
+            (KrausChannel((0.5 * np.eye(2),), 2, 2), "not trace-preserving"),
+            (SuperOperator(swap_operator(2), 2, 2), "not completely positive"),
+        ],
+        ids=["kraus_not_tp", "transpose_not_cp"],
+    )
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda ch: channel_e_alpha(ch, 2.0, FAST),
+            lambda ch: r_alpha_channel(ch, builtin_map("partial_transpose", BipartitionDims(1, 2)), 2.0, FAST),
+        ],
+        ids=["channel_e_alpha", "r_alpha_channel"],
+    )
+    def test_rejects_a_map_that_is_not_cptp(self, channel, reason, measure):
+        # every input of such a map would score the search's penalty, so the
+        # search would report -1e6 bits instead of failing
+        with pytest.raises(ValueError, match=reason):
+            measure(channel)
 
 
 class TestWernerHolevo:

@@ -289,3 +289,42 @@ def test_no_convexity_margin_reads_the_measured_values(capsys, monkeypatch):
     assert lines[-1].startswith("convexity violation margin: ")
     margin = float(lines[-1].split()[3])
     assert margin == pytest.approx(math.log2(1.5) - 0.5 - 5e-5, abs=2e-6)
+
+
+def test_sweep_manifest_records_how_the_csv_was_made(ppt_state, tmp_path):
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", str(ppt_state), "--alphas", "2,1", "--tol", "0.001", "--max-iter", "50", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text(encoding="utf-8"))
+    assert isinstance(manifest["command"], str)
+    assert manifest["inputs"] == [str(ppt_state)]
+    assert manifest["config_overrides"] == {"tol": 0.001, "max_iter": 50}
+    assert manifest["output"] == str(out)
+    assert manifest["tool_version"] == cli.__version__
+    assert manifest["alphas"] == ["1.0", "2.0"]
+
+
+@pytest.mark.parametrize("name", ["normalization", "no-monogamy", "two-qubit-collapse"])
+def test_repro_target_passes_every_row(capsys, name):
+    assert main(["repro", name]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.endswith("[PASS]") for line in lines)
+
+
+@pytest.mark.parametrize("suite", ["faithfulness", "lemmas"])
+def test_smoke_check_passes_every_battery(capsys, suite):
+    assert main(["check", "--suite", suite, "--smoke"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.endswith("[PASS]") for line in lines[:-1])
+    n = len(lines) - 1
+    assert n >= 1 and lines[-1] == f"{n}/{n} batteries passed"
+
+
+def test_channel_that_is_not_trace_preserving_exits_invalid(tmp_path, capsys):
+    path = tmp_path / "half.json"
+    half = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    path.write_text(json.dumps({"kind": "kraus", "dims_in": [2], "dims_out": [2], "data": [half]}))
+    assert main(["channel", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: channel is not trace-preserving\n"

@@ -196,13 +196,35 @@ class TestOutcomesAreReturned:
         assert r.bracket[1] == math.inf
         assert kappa_calls == []  # the bracket audit is skipped
 
-    def test_exhausted_stage_budget(self, monkeypatch):
+    @pytest.fixture
+    def halved_kappa(self, monkeypatch):
+        # an SDP value one bit too low, below every value it should bound
         real = resource._kappa_core
-        monkeypatch.setattr(resource, "_kappa_core", lambda *a: (*real(*a)[:3], False))
+
+        def halved(*args):
+            trace_val, S, steps = real(*args)
+            return trace_val / 2, S, steps
+
+        monkeypatch.setattr(resource, "_kappa_core", halved)
+
+    def test_kappa_below_the_lower_endpoint_escapes_its_bracket(self, halved_kappa):
         r = e_kappa(max_entangled(2))
+        assert r.value_bits == pytest.approx(0.0, abs=1e-6)
+        assert r.bracket == (pytest.approx(1.0, abs=1e-12), r.value_bits)
         assert not r.converged
-        assert r.diagnostic == "barrier method exhausted its stage budget"
-        assert r.value_bits == pytest.approx(1.0, abs=1e-6)
+        assert r.diagnostic.startswith(f"value {r.value_bits:.6f} escapes bracket [1.000000, ")
+
+    def test_value_above_the_kappa_endpoint_escapes_its_bracket(self, halved_kappa):
+        rho = random_state(DIMS22, 2, seed=1)
+        assert not ppt_membership(rho)
+        r = e_alpha(rho, 2.0, DEFAULT_CONFIG)
+        lower, upper = r.bracket
+        assert upper == pytest.approx(lower - 1.0, abs=1e-6)
+        assert not r.converged
+        assert r.diagnostic == (
+            f"value {r.value_bits:.6f} escapes bracket [{lower:.6f}, {upper:.6f}] "
+            f"beyond value_tol {DEFAULT_CONFIG.value_tol:g}"
+        )
 
     @pytest.mark.parametrize(
         "rho",

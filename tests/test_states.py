@@ -11,6 +11,7 @@ from alphaneg.errors import InvalidStateError
 from alphaneg.linalg import BipartitionDims, partial_transpose, schatten_norm, tensor
 from alphaneg.states import (
     BipartiteState,
+    PureState,
     cq_assemble,
     load_state,
     max_entangled,
@@ -165,6 +166,22 @@ class TestFixtures:
             tripartite_marginal(psi, (0, 2))
         )
         assert total - log_negativity(one_vs_rest(psi, 0)) > 0.01
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4)])
+    @pytest.mark.parametrize("keep", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+    def test_marginal_matches_einsum(self, rng, dims, keep):
+        v = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(int(np.prod(dims)))
+        psi = PureState(v / np.linalg.norm(v), dims)
+        i, j = keep
+        (k,) = {0, 1, 2} - {i, j}
+        ket, bra = list("abc"), list("def")
+        bra[k] = ket[k]
+        spec = f"{''.join(ket)},{''.join(bra)}->{ket[i]}{ket[j]}{bra[i]}{bra[j]}"
+        t = psi.amplitudes.reshape(dims)
+        expected = np.einsum(spec, t, t.conj()).reshape(dims[i] * dims[j], -1)
+        got = tripartite_marginal(psi, keep)
+        assert got.dims == BipartitionDims(dims[i], dims[j])
+        np.testing.assert_allclose(got.matrix, expected, rtol=0, atol=1e-14)
 
 
 class TestCqStates:
