@@ -45,7 +45,6 @@ from .solver import (
 )
 from .states import (
     BipartiteState,
-    PureState,
     cq_assemble,
     load_state,
     max_entangled,
@@ -58,12 +57,12 @@ from .states import (
 )
 from .channels import (
     Instrument,
-    KrausChannel,
     SuperOperator,
     channel_e_alpha,
     choi_of,
     instrument_outcomes,
     is_cpptp,
+    kraus_channel,
     load_channel,
     werner_holevo_channel,
     werner_holevo_value,

@@ -1,16 +1,19 @@
-"""Channel representations, PPT-preserving instrument checks, channel measures.
+"""Channels, PPT-preserving instrument checks, channel measures.
 
-Conventions: operators are vectorized row-major (``numpy`` C order), so the
-superoperator of a Kraus set {K} is sum_k K (x) conj(K), and the Choi matrix
-is the unnormalized (id (x) N) applied to d * (maximally entangled), with the
+Every channel is a ``SuperOperator``, a finite, Hermiticity-preserving
+matrix over row-major (``numpy`` C order) vectorization; ``kraus_channel``
+builds the one of a Kraus set {K}, sum_k K (x) conj(K).  The Choi matrix is
+the unnormalized (id (x) N) applied to d * (maximally entangled), with the
 reference factor first.  The composite index is the row-major one used
 everywhere else in the package.
 
 One free-operation test, ``_cp_slack``, serves ``is_cpptp`` and
-``is_cpptp_instrument`` (with the partial transposes) and
-``resource._check_free_operation`` (with any positive map); one
-trace-preservation test, ``_tp_defect``, serves ``choi_is_tp`` and
-``Instrument``.  Every Choi-matrix test reads the one ``_CHOI_TOL``.
+``is_cpptp_instrument`` (with the partial transposes),
+``resource._check_free_operation`` (with any positive map), and the complete
+positivity of ``Instrument`` elements and searched channels (with the
+identity); one trace-preservation test, ``_tp_defect``, serves
+``choi_is_tp`` and ``Instrument``.  Every Choi-matrix test reads the one
+``_CHOI_TOL``.
 One seeded multi-start Nelder-Mead search, ``_channel_search``, runs over
 unit-norm amplitude matrices Psi for both channel measures:
 ``channel_e_alpha`` measures the output (Psi (x) I) J_N (Psi (x) I)^dag of
@@ -18,7 +21,7 @@ the pure input with reference, ``channel_output_state``, and
 ``resource.r_alpha_channel`` measures N applied to the input state
 Psi Psi^dag / ||Psi||^2.
 
-Channel JSON format: {"kind": "kraus" | "superop", "dims_in": [...],
+A channel's JSON format: {"kind": "kraus" | "superop", "dims_in": [...],
 "dims_out": [...], "data": ...} with the same [re, im] entry pairs as the
 state format, parsed by the same parser.  ``dims_in``/``dims_out`` carry one
 entry for a simple system or [dA, dB] for a declared bipartition (needed by
@@ -43,7 +46,7 @@ from .linalg import (
     op_norm,
     partial_trace,
 )
-from .solver import DEFAULT_CONFIG, _pt, e_alpha
+from .solver import DEFAULT_CONFIG, SolverConfig, _pt, e_alpha
 from .states import BipartiteState, _pairs_to_matrix, _positive_ints, as_state, swap_operator
 
 _PROB_CUTOFF = 1e-8
@@ -63,37 +66,10 @@ def _parse_dims(spec) -> tuple[int, BipartitionDims | None]:
 
 
 @dataclass(frozen=True)
-class KrausChannel:
-    """Completely positive map given by Kraus operators (d_out x d_in each)."""
-
-    kraus_ops: tuple[np.ndarray, ...]
-    dim_in: int
-    dim_out: int
-    bipartition_in: BipartitionDims | None = None
-    bipartition_out: BipartitionDims | None = None
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
-        if not ops:
-            raise ValueError("a channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise ValueError(
-                    f"Kraus shape {k.shape} does not match {self.dim_out}x{self.dim_in}"
-                )
-        object.__setattr__(self, "kraus_ops", ops)
-
-    def apply(self, M: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for k in self.kraus_ops:
-            out += k @ M @ k.conj().T
-        return out
-
-
-@dataclass(frozen=True)
 class SuperOperator:
     """Linear map on operators stored as a (d_out^2 x d_in^2) matrix over
-    row-major vectorization; must be Hermiticity-preserving."""
+    row-major vectorization; its entries must be finite and the map
+    Hermiticity-preserving."""
 
     matrix: np.ndarray
     dim_in: int
@@ -108,6 +84,8 @@ class SuperOperator:
                 f"superoperator shape {m.shape} does not match dims "
                 f"{self.dim_out}^2 x {self.dim_in}^2"
             )
+        if not np.isfinite(m).all():
+            raise ValueError("superoperator entries must be finite")
         object.__setattr__(self, "matrix", m)
         choi = choi_of(self)
         if op_norm(choi - choi.conj().T) > _CHOI_TOL * max(1.0, op_norm(choi)):
@@ -118,18 +96,30 @@ class SuperOperator:
         return v.reshape(self.dim_out, self.dim_out)
 
 
-Channel = KrausChannel | SuperOperator
+def kraus_channel(
+    ops,
+    dim_in: int,
+    dim_out: int,
+    bipartition_in: BipartitionDims | None = None,
+    bipartition_out: BipartitionDims | None = None,
+) -> SuperOperator:
+    """Completely positive map X -> sum_k K X K^dag from Kraus operators
+    (d_out x d_in each), as its superoperator sum_k K (x) conj(K)."""
+    ops = [np.asarray(k, dtype=complex) for k in ops]
+    if not ops:
+        raise ValueError("a channel needs at least one Kraus operator")
+    for k in ops:
+        if k.shape != (dim_out, dim_in):
+            raise ValueError(f"Kraus shape {k.shape} does not match {dim_out}x{dim_in}")
+    # entries that overflow here are rejected by SuperOperator
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = sum(np.kron(k, k.conj()) for k in ops)
+    return SuperOperator(matrix, dim_in, dim_out, bipartition_in, bipartition_out)
 
 
-def choi_of(channel: Channel) -> np.ndarray:
+def choi_of(channel: SuperOperator) -> np.ndarray:
     """Unnormalized Choi matrix sum_ij |i><j| (x) N(|i><j|), reference first."""
     din, dout = channel.dim_in, channel.dim_out
-    if isinstance(channel, KrausChannel):
-        J = np.zeros((din * dout, din * dout), dtype=complex)
-        for k in channel.kraus_ops:
-            w = k.T.reshape(-1)  # (id (x) K) applied to the unnormalized Bell vector
-            J += np.outer(w, w.conj())
-        return J
     s = channel.matrix.reshape(dout, dout, din, din)
     return s.transpose(2, 0, 3, 1).reshape(din * dout, din * dout)
 
@@ -139,11 +129,11 @@ def _tp_defect(J: np.ndarray, d_in: int, d_out: int) -> float:
     return op_norm(partial_trace(J, BipartitionDims(d_in, d_out), "B") - np.eye(d_in))
 
 
-def choi_is_tp(channel: Channel) -> bool:
+def choi_is_tp(channel: SuperOperator) -> bool:
     return _tp_defect(choi_of(channel), channel.dim_in, channel.dim_out) <= _CHOI_TOL
 
 
-def _cp_slack(channel: Channel, p_in, p_out) -> float:
+def _cp_slack(channel: SuperOperator, p_in, p_out) -> float:
     """Smallest eigenvalue of the Choi matrices of N and of P_out . N . P_in,
     relative to max(1, ||J_N||): both maps count as CP when it is at least
     -``_CHOI_TOL``.  P_in and P_out are trusted on Hermitian inputs only."""
@@ -153,7 +143,11 @@ def _cp_slack(channel: Channel, p_in, p_out) -> float:
     return lam / max(1.0, op_norm(J))
 
 
-def is_cpptp(channel: Channel) -> bool:
+def _is_cp(channel: SuperOperator) -> bool:
+    return _cp_slack(channel, lambda m: m, lambda m: m) >= -_CHOI_TOL
+
+
+def is_cpptp(channel: SuperOperator) -> bool:
     """True iff the map is CPTP and stays completely positive after
     conjugation by the partial transposes on both sides.  A trace-preserving
     map without both bipartitions raises ValueError."""
@@ -169,7 +163,7 @@ def is_cpptp(channel: Channel) -> bool:
 class Instrument:
     """Collection of CP maps dims_in -> dims_out whose sum is trace preserving."""
 
-    elements: tuple[KrausChannel, ...]
+    elements: tuple[SuperOperator, ...]
     dims_in: BipartitionDims
     dims_out: BipartitionDims
 
@@ -181,6 +175,8 @@ class Instrument:
         for idx, el in enumerate(elements):
             if (el.dim_in, el.dim_out) != (din, dout):
                 raise ValueError(f"instrument element {idx} is not a map C^{din} -> C^{dout}")
+            if not _is_cp(el):
+                raise ValueError(f"instrument element {idx} is not completely positive")
         if _tp_defect(sum(choi_of(el) for el in elements), din, dout) > _CHOI_TOL:
             raise ValueError("instrument elements do not sum to a trace-preserving map")
         object.__setattr__(self, "elements", elements)
@@ -214,7 +210,7 @@ def instrument_outcomes(instr: Instrument, rho) -> list[tuple[float, BipartiteSt
 # channel-level measure
 
 
-def channel_output_state(channel: Channel, psi_matrix: np.ndarray) -> BipartiteState:
+def channel_output_state(channel: SuperOperator, psi_matrix: np.ndarray) -> BipartiteState:
     """Push the purification with amplitude matrix psi (reference x input)
     through the channel; returns the reference:output bipartite state
     (psi (x) I) J_N (psi (x) I)^dag, with J_N the Choi matrix, contracted
@@ -228,7 +224,7 @@ def channel_output_state(channel: Channel, psi_matrix: np.ndarray) -> BipartiteS
     return BipartiteState(BipartitionDims(d_ref, dout), out)
 
 
-def _channel_search(channel: Channel, measure, cfg, with_details: bool):
+def _channel_search(channel: SuperOperator, measure, cfg, with_details: bool):
     """Largest ``measure(psi)`` over unit-norm d x d amplitude matrices psi,
     with d the channel's input dimension.
 
@@ -246,7 +242,7 @@ def _channel_search(channel: Channel, measure, cfg, with_details: bool):
         raise OutOfDomainError(f"channel search is desk-scale, input dimension must be <= 4, got {d}")
     if not choi_is_tp(channel):
         raise ValueError("channel is not trace-preserving")
-    if _cp_slack(channel, lambda m: m, lambda m: m) < -_CHOI_TOL:
+    if not _is_cp(channel):
         raise ValueError("channel is not completely positive")
     n = d * d
 
@@ -283,9 +279,9 @@ def _channel_search(channel: Channel, measure, cfg, with_details: bool):
 
 
 def channel_e_alpha(
-    channel: Channel,
+    channel: SuperOperator,
     alpha: float,
-    cfg=None,
+    cfg: SolverConfig = DEFAULT_CONFIG,
     with_details: bool = False,
 ):
     """Largest measure value over pure inputs with reference a copy of the input.
@@ -294,7 +290,6 @@ def channel_e_alpha(
     evaluation measures the reference:output state of Psi.
     """
     check_alpha(alpha)
-    cfg = cfg or DEFAULT_CONFIG
     inner_cfg = replace(cfg, with_bracket=False)
     return _channel_search(
         channel,
@@ -339,7 +334,7 @@ def werner_holevo_value(p: float, d: int) -> float:
 # generators and JSON interchange
 
 
-def random_kraus_channel(d_in: int, d_out: int, n_kraus: int, seed: int) -> KrausChannel:
+def random_kraus_channel(d_in: int, d_out: int, n_kraus: int, seed: int) -> SuperOperator:
     """Haar-style random CPTP map from a random isometry split into blocks."""
     if n_kraus * d_out < d_in:
         raise ValueError(
@@ -351,7 +346,7 @@ def random_kraus_channel(d_in: int, d_out: int, n_kraus: int, seed: int) -> Krau
     )
     q, _ = np.linalg.qr(g)
     ops = [q[i * d_out : (i + 1) * d_out, :] for i in range(n_kraus)]
-    return KrausChannel(tuple(ops), d_in, d_out)
+    return kraus_channel(ops, d_in, d_out)
 
 
 def random_local_instrument(
@@ -370,11 +365,11 @@ def random_local_instrument(
         for m in range(kraus_per_element):
             k = q[(x * kraus_per_element + m) * dB : (x * kraus_per_element + m + 1) * dB, :]
             ops.append(np.kron(eye_a, k))
-        elements.append(KrausChannel(tuple(ops), dims.total, dims.total))
+        elements.append(kraus_channel(ops, dims.total, dims.total))
     return Instrument(tuple(elements), dims, dims)
 
 
-def channel_from_json(payload: dict) -> Channel:
+def channel_from_json(payload: dict) -> SuperOperator:
     """Parse the channel JSON object; every malformed payload raises
     ValueError("malformed channel JSON: ...")."""
     try:
@@ -383,8 +378,7 @@ def channel_from_json(payload: dict) -> Channel:
         dout, bout = _parse_dims(payload["dims_out"])
         data = payload["data"]
         if kind == "kraus":
-            ops = tuple(_pairs_to_matrix(m) for m in data)
-            return KrausChannel(ops, din, dout, bin_, bout)
+            return kraus_channel([_pairs_to_matrix(m) for m in data], din, dout, bin_, bout)
         if kind == "superop":
             return SuperOperator(_pairs_to_matrix(data), din, dout, bin_, bout)
         raise ValueError(f"unknown channel kind {kind!r}")
@@ -392,6 +386,6 @@ def channel_from_json(payload: dict) -> Channel:
         raise ValueError(f"malformed channel JSON: {exc}") from exc
 
 
-def load_channel(path) -> Channel:
+def load_channel(path) -> SuperOperator:
     with open(path, "r", encoding="utf-8") as fh:
         return channel_from_json(json.load(fh))

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import json
 import math
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -33,10 +34,8 @@ from .states import (
     max_entangled,
     no_convexity_fixture,
     no_monogamy_fixture,
-    one_vs_rest,
     random_state,
     save_state,
-    tripartite_marginal,
 )
 from .suites import run_suite
 
@@ -138,7 +137,7 @@ def cmd_sweep(args) -> int:
                 ]
             )
     manifest = {
-        "command": " ".join(sys.argv),
+        "command": shlex.join(["alphaneg", *args.argv]),
         "inputs": [str(args.state)],
         "config_overrides": _flag_overrides(args),
         "output": str(out_path),
@@ -239,10 +238,7 @@ def cmd_repro(args) -> int:
             failures += 1
 
     elif args.name == "no-monogamy":
-        psi = no_monogamy_fixture()
-        ab = tripartite_marginal(psi, (0, 1))
-        ac = tripartite_marginal(psi, (0, 2))
-        whole = one_vs_rest(psi, 0)
+        ab, ac, whole = no_monogamy_fixture()
         for alpha in alphas:
             total = e_alpha(ab, alpha, cfg).value_bits + e_alpha(ac, alpha, cfg).value_bits
             big = e_alpha(whole, alpha, cfg).value_bits
@@ -387,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         args.cfg = _config_from_args(args)
         return args.func(args)

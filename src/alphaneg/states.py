@@ -1,4 +1,7 @@
-"""Constructors, validators and fixtures for bipartite and tripartite states.
+"""Constructors, validators and fixtures for bipartite states.
+
+Every state is a ``BipartiteState``.  A multipartite example, such as the
+no-monogamy fixture, is given as the bipartite states that get measured.
 
 State JSON format (shared with the CLI): an object with "dims": [dA, dB] and
 "matrix": D rows of D entries, each entry a [re, im] pair, row-major in the
@@ -21,7 +24,6 @@ from .errors import InvalidStateError
 from .linalg import (
     BipartitionDims,
     check_hermitian,
-    partial_trace,
     partial_transpose,
     permute_subsystems,
     tensor,
@@ -56,28 +58,6 @@ class BipartiteState:
         if not lo >= -STATE_ATOL:
             raise InvalidStateError(f"state has negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class PureState:
-    """State vector over a tuple of subsystem dimensions."""
-
-    amplitudes: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if v.size != int(np.prod(self.dims)):
-            raise InvalidStateError(
-                f"amplitude count {v.size} does not match dims {self.dims}"
-            )
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-10:
-            raise InvalidStateError(f"state vector norm {norm} is not 1")
-        object.__setattr__(self, "amplitudes", v)
-
-    def density(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
 def as_state(rho) -> BipartiteState:
@@ -158,38 +138,22 @@ def no_convexity_fixture() -> tuple[BipartiteState, BipartiteState, BipartiteSta
     return rho1, rho2, mixed
 
 
-def no_monogamy_fixture() -> PureState:
-    """Three-qubit pure state whose A:B and A:C entanglement together exceed A:BC."""
+def no_monogamy_fixture() -> tuple[BipartiteState, BipartiteState, BipartiteState]:
+    """Triple (rho_AB, rho_AC, rho_A:BC) of one three-qubit pure state whose
+    A:B and A:C entanglement together exceed its A:BC entanglement."""
     v = np.zeros(8, dtype=complex)
     v[0] = 0.5          # |000>
     v[3] = 0.5          # |011>
     v[6] = 1 / np.sqrt(2)  # |110>
-    return PureState(v, (2, 2, 2))
-
-
-def tripartite_marginal(psi: PureState, keep: tuple[int, int]) -> BipartiteState:
-    """Two-party reduced state of a tripartite pure state, kept in order."""
-    if len(psi.dims) != 3:
-        raise ValueError(f"expected a tripartite state, got dims {psi.dims}")
-    i, j = keep
-    k = ({0, 1, 2} - {i, j}).pop()
-    d_i, d_j, d_k = (psi.dims[x] for x in (i, j, k))
-    m = permute_subsystems(psi.density(), psi.dims, (i, j, k))
-    reduced = partial_trace(m, BipartitionDims(d_i * d_j, d_k), "B")
-    return BipartiteState(BipartitionDims(d_i, d_j), reduced)
-
-
-def one_vs_rest(psi: PureState, first: int = 0) -> BipartiteState:
-    """Bipartition of a tripartite pure state as subsystem `first` vs the rest."""
-    if len(psi.dims) != 3:
-        raise ValueError(f"expected a tripartite state, got dims {psi.dims}")
-    rest = [i for i in range(3) if i != first]
-    rho = psi.density()
-    perm = [first] + rest
-    m = permute_subsystems(rho, psi.dims, perm)
-    dA = psi.dims[first]
-    dB = psi.dims[rest[0]] * psi.dims[rest[1]]
-    return BipartiteState(BipartitionDims(dA, dB), m)
+    t = v.reshape(2, 2, 2)
+    # amplitude matrices (kept pair) x (traced party)
+    ab, ac = t.reshape(4, 2), t.transpose(0, 2, 1).reshape(4, 2)
+    qubits = BipartitionDims(2, 2)
+    return (
+        BipartiteState(qubits, ab @ ab.conj().T),
+        BipartiteState(qubits, ac @ ac.conj().T),
+        BipartiteState(BipartitionDims(2, 4), np.outer(v, v.conj())),
+    )
 
 
 def cq_assemble(weights: Sequence[float], blocks: Sequence[np.ndarray]) -> np.ndarray:

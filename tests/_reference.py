@@ -5,7 +5,6 @@ from typing import Sequence
 
 import numpy as np
 
-from alphaneg.channels import SuperOperator
 from alphaneg.errors import NotPositiveDefiniteError
 
 
@@ -25,23 +24,25 @@ def subsystem_transpose(M: np.ndarray, dims: Sequence[int], which: Sequence[int]
     return tens.transpose(axes).reshape(d, d)
 
 
-def superop_matrix(channel) -> np.ndarray:
-    """Row-major superoperator matrix: a superoperator's own matrix, or
-    sum_k K (x) conj(K) over a channel's Kraus operators."""
-    if isinstance(channel, SuperOperator):
-        return channel.matrix
-    return sum(np.kron(k, k.conj()) for k in channel.kraus_ops)
+def kraus_apply(ops, M: np.ndarray) -> np.ndarray:
+    """sum_k K M K^dag over a list of Kraus operators."""
+    return sum(k @ M @ k.conj().T for k in ops)
 
 
-def extend_apply(channel, rho_ra: np.ndarray, d_ref: int) -> np.ndarray:
+def kraus_choi(ops) -> np.ndarray:
+    """Unnormalized Choi matrix of a Kraus set, reference first: the sum of
+    w w^dag with w = vec(K^T), the image of the unnormalized Bell vector."""
+    return sum(np.outer(k.T.reshape(-1), k.T.reshape(-1).conj()) for k in ops)
+
+
+def extend_apply(apply, d_in: int, d_out: int, rho_ra: np.ndarray, d_ref: int) -> np.ndarray:
     """(id_R (x) N) on a block matrix over the reference index, applying the
-    channel to one d_in x d_in block at a time."""
-    din, dout = channel.dim_in, channel.dim_out
-    out = np.zeros((d_ref * dout, d_ref * dout), dtype=complex)
+    map N, ``apply``, to one d_in x d_in block at a time."""
+    out = np.zeros((d_ref * d_out, d_ref * d_out), dtype=complex)
     for r in range(d_ref):
         for s in range(d_ref):
-            block = rho_ra[r * din : (r + 1) * din, s * din : (s + 1) * din]
-            out[r * dout : (r + 1) * dout, s * dout : (s + 1) * dout] = channel.apply(block)
+            block = rho_ra[r * d_in : (r + 1) * d_in, s * d_in : (s + 1) * d_in]
+            out[r * d_out : (r + 1) * d_out, s * d_out : (s + 1) * d_out] = apply(block)
     return out
 
 

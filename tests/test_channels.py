@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from alphaneg.channels import (
     Instrument,
-    KrausChannel,
     SuperOperator,
     channel_e_alpha,
     channel_from_json,
@@ -19,6 +19,7 @@ from alphaneg.channels import (
     instrument_outcomes,
     is_cpptp,
     is_cpptp_instrument,
+    kraus_channel,
     random_kraus_channel,
     random_local_instrument,
     werner_holevo_channel,
@@ -42,7 +43,7 @@ from alphaneg.states import (
     werner_state,
 )
 
-from _reference import extend_apply, subsystem_transpose, superop_matrix
+from _reference import extend_apply, kraus_apply, kraus_choi, subsystem_transpose
 from conftest import DIMS, JSON, MATRIX, corrupted
 
 DIMS22 = BipartitionDims(2, 2)
@@ -59,7 +60,15 @@ IDENTITY_SUPEROP_JSON = {"kind": "superop", "dims_in": [1], "dims_out": [1], "da
 
 
 def identity_channel(d):
-    return KrausChannel((np.eye(d, dtype=complex),), d, d)
+    return kraus_channel([np.eye(d, dtype=complex)], d, d)
+
+
+def random_kraus_ops(d_in, d_out, n_kraus, seed):
+    """The n_kraus blocks of a seeded random isometry C^d_in -> C^(n_kraus d_out)."""
+    rng = np.random.default_rng(seed)
+    shape = (n_kraus * d_out, d_in)
+    q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return [q[i * d_out : (i + 1) * d_out] for i in range(n_kraus)]
 
 
 def depolarizing_channel(d):
@@ -71,7 +80,7 @@ def depolarizing_channel(d):
     for a in range(d):
         for b in range(d):
             ops.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b) / d)
-    return KrausChannel(tuple(ops), d, d)
+    return kraus_channel(ops, d, d)
 
 
 class TestChoi:
@@ -92,15 +101,41 @@ class TestChoi:
         assert choi_is_tp(ch)
 
     def test_superop_choi_matches_kraus_choi(self):
-        ch = random_kraus_channel(2, 3, 3, seed=9)
-        sup = SuperOperator(superop_matrix(ch), ch.dim_in, ch.dim_out)
-        np.testing.assert_allclose(choi_of(sup), choi_of(ch), atol=1e-12)
+        ops = random_kraus_ops(2, 3, 3, seed=9)
+        np.testing.assert_allclose(choi_of(kraus_channel(ops, 2, 3)), kraus_choi(ops), atol=1e-12)
 
     def test_apply_round_trip(self, rng):
-        ch = random_kraus_channel(3, 3, 2, seed=13)
-        sup = SuperOperator(superop_matrix(ch), 3, 3)
+        ops = random_kraus_ops(3, 3, 2, seed=13)
         rho = random_state(BipartitionDims(1, 3), 3, seed=1).matrix
-        np.testing.assert_allclose(sup.apply(rho), ch.apply(rho), atol=1e-10)
+        np.testing.assert_allclose(
+            kraus_channel(ops, 3, 3).apply(rho), kraus_apply(ops, rho), atol=1e-10
+        )
+
+    @pytest.mark.parametrize(
+        "ops, dims, error",
+        [
+            ([], (2, 2), "at least one Kraus operator"),
+            ([np.eye(2), np.eye(3)], (2, 2), "Kraus shape \\(3, 3\\) does not match 2x2"),
+            ([np.eye(3, 2)], (3, 2), "Kraus shape \\(3, 2\\) does not match 2x3"),
+        ],
+        ids=["empty", "mixed_shapes", "transposed"],
+    )
+    def test_kraus_channel_rejects_empty_and_misshapen_lists(self, ops, dims, error):
+        with pytest.raises(ValueError, match=error):
+            kraus_channel(ops, *dims)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_superoperator_rejects_non_finite_entries(self, bad):
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="superoperator entries must be finite"):
+            SuperOperator(m, 2, 2)
+
+    def test_kraus_entries_that_overflow_are_rejected_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="superoperator entries must be finite"):
+                kraus_channel([np.full((2, 2), 1e200 * (1 + 1j))], 2, 2)
 
     def test_random_channel_needs_an_isometry(self):
         with pytest.raises(ValueError, match="n_kraus \\* d_out >= d_in"):
@@ -109,9 +144,8 @@ class TestChoi:
 
 class TestIsCpptp:
     def test_local_channel_passes(self):
-        k = random_kraus_channel(2, 2, 3, seed=3)
-        ops = tuple(np.kron(np.eye(2), op) for op in k.kraus_ops)
-        ch = KrausChannel(ops, 4, 4, DIMS22, DIMS22)
+        ops = [np.kron(np.eye(2), op) for op in random_kraus_ops(2, 2, 3, seed=3)]
+        ch = kraus_channel(ops, 4, 4, DIMS22, DIMS22)
         assert is_cpptp(ch)
 
     def test_swap_channel_fails_complete_positivity(self):
@@ -120,7 +154,7 @@ class TestIsCpptp:
         # complete-preservation test must reject it (direct Choi computation
         # gives eigenvalues -1)
         swap = swap_operator(2).astype(complex)
-        ch = KrausChannel((swap,), 4, 4, DIMS22, DIMS22)
+        ch = kraus_channel([swap], 4, 4, DIMS22, DIMS22)
         assert not is_cpptp(ch)
 
     def test_partial_transpose_fails_cp(self):
@@ -146,9 +180,9 @@ class TestIsCpptp:
         dims_out = BipartitionDims(2, 3)
         rng = np.random.default_rng(21)
         v, _ = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
-        local = KrausChannel((np.kron(np.eye(2), v),), 4, 6, DIMS22, dims_out)
+        local = kraus_channel([np.kron(np.eye(2), v)], 4, 6, DIMS22, dims_out)
         cnot = np.eye(4)[[0, 1, 3, 2]]
-        across = KrausChannel((np.kron(np.eye(2), v) @ cnot,), 4, 6, DIMS22, dims_out)
+        across = kraus_channel([np.kron(np.eye(2), v) @ cnot], 4, 6, DIMS22, dims_out)
         assert is_cpptp(local)
         assert not is_cpptp(across)
         for ch in (local, across):
@@ -177,9 +211,7 @@ class TestInstruments:
     def test_projective_measurement_on_bell(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)
-        elements = tuple(
-            KrausChannel((np.kron(np.eye(2), p),), 4, 4) for p in (p0, p1)
-        )
+        elements = tuple(kraus_channel([np.kron(np.eye(2), p)], 4, 4) for p in (p0, p1))
         instr = Instrument(elements, DIMS22, DIMS22)
         outs = instrument_outcomes(instr, max_entangled(2))
         assert len(outs) == 2
@@ -198,13 +230,13 @@ class TestInstruments:
         # the instrument and the state may each sit 1e-9 from exact, so the
         # outcome probabilities may total about 1 + 2e-9
         s = 1 + 0.9e-9
-        instr = Instrument((KrausChannel((math.sqrt(s) * np.eye(4),), 4, 4),), DIMS22, DIMS22)
+        instr = Instrument((kraus_channel([math.sqrt(s) * np.eye(4)], 4, 4),), DIMS22, DIMS22)
         outs = instrument_outcomes(instr, BipartiteState(DIMS22, s * np.eye(4) / 4))
         assert len(outs) == 1
         assert outs[0][0] == pytest.approx(1.0, abs=1e-8)
 
     def test_rejects_non_tp_sum(self):
-        half = KrausChannel((np.eye(4, dtype=complex) / 2,), 4, 4)
+        half = kraus_channel([np.eye(4, dtype=complex) / 2], 4, 4)
         with pytest.raises(ValueError):
             Instrument((half,), DIMS22, DIMS22)
 
@@ -214,13 +246,24 @@ class TestInstruments:
             # trace preserving, but 4 -> 4 where the instrument declares 4 -> 6
             (identity_channel(4), DIMS22, BipartitionDims(2, 3)),
             # an isometry 4 -> 6 where the instrument declares 6 -> 6
-            (KrausChannel((np.eye(6, 4),), 4, 6), BipartitionDims(2, 3), BipartitionDims(2, 3)),
+            (kraus_channel([np.eye(6, 4)], 4, 6), BipartitionDims(2, 3), BipartitionDims(2, 3)),
         ],
         ids=["output", "input"],
     )
     def test_rejects_elements_of_other_dimensions(self, element, dims_in, dims_out):
         with pytest.raises(ValueError, match="instrument element 0 is not a map C\\^"):
             Instrument((element,), dims_in, dims_out)
+
+    def test_rejects_an_element_that_is_not_completely_positive(self):
+        # half the identity and half the qubit transpose, which is positive
+        # but not CP: the two sum to a trace-preserving map
+        halves = (
+            kraus_channel([np.eye(2) / math.sqrt(2)], 2, 2),
+            SuperOperator(swap_operator(2) / 2, 2, 2),
+        )
+        dims = BipartitionDims(1, 2)
+        with pytest.raises(ValueError, match="instrument element 1 is not completely positive"):
+            Instrument(halves, dims, dims)
 
 
 class TestMonotonicity:
@@ -229,7 +272,7 @@ class TestMonotonicity:
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         u, _ = np.linalg.qr(g)
         instr = Instrument(
-            (KrausChannel((np.kron(np.eye(2), u),), 4, 4),), DIMS22, DIMS22
+            (kraus_channel([np.kron(np.eye(2), u)], 4, 4),), DIMS22, DIMS22
         )
         rho = random_state(DIMS22, 2, seed=momentum_seed(0))
         slack = free_instrument_monotonicity_check(instr, rho, PT22, 2.0, FAST)
@@ -238,9 +281,7 @@ class TestMonotonicity:
     def test_measure_and_discard(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)
-        elements = tuple(
-            KrausChannel((np.kron(np.eye(2), p),), 4, 4) for p in (p0, p1)
-        )
+        elements = tuple(kraus_channel([np.kron(np.eye(2), p)], 4, 4) for p in (p0, p1))
         instr = Instrument(elements, DIMS22, DIMS22)
         # the Bell state has 1 bit; both post-measurement states are product
         slack = free_instrument_monotonicity_check(instr, max_entangled(2), PT22, 2.0, FAST)
@@ -258,7 +299,7 @@ class TestMonotonicity:
         bell_proj = max_entangled(2).matrix
         rest = np.eye(4, dtype=complex) - bell_proj
         instr = Instrument(
-            (KrausChannel((bell_proj,), 4, 4), KrausChannel((rest,), 4, 4)),
+            (kraus_channel([bell_proj], 4, 4), kraus_channel([rest], 4, 4)),
             DIMS22,
             DIMS22,
         )
@@ -300,24 +341,20 @@ class TestChannelMeasure:
         d_in=st.integers(1, 3),
         d_out=st.integers(1, 3),
         extra_kraus=st.integers(0, 2),
-        kind=st.sampled_from(["kraus", "superop"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_output_state_matches_blockwise_reference(
-        self, d_ref, d_in, d_out, extra_kraus, kind, seed
-    ):
-        # the Choi conjugation against (id_R (x) N) applied block by block,
-        # with rectangular amplitude matrices and d_in != d_out included; the
-        # random isometry needs n_kraus * d_out >= d_in rows
-        ch = random_kraus_channel(d_in, d_out, -(-d_in // d_out) + extra_kraus, seed)
-        if kind == "superop":
-            ch = SuperOperator(superop_matrix(ch), d_in, d_out)
+    def test_output_state_matches_blockwise_reference(self, d_ref, d_in, d_out, extra_kraus, seed):
+        # the Choi conjugation against sum_k K (.) K^dag applied to one
+        # reference block at a time, with rectangular amplitude matrices and
+        # d_in != d_out included; the random isometry needs
+        # n_kraus * d_out >= d_in rows
+        ops = random_kraus_ops(d_in, d_out, -(-d_in // d_out) + extra_kraus, seed)
         rng = np.random.default_rng(seed)
         psi = rng.standard_normal((d_ref, d_in)) + 1j * rng.standard_normal((d_ref, d_in))
         psi /= np.linalg.norm(psi)
         v = psi.reshape(-1)
-        expected = extend_apply(ch, np.outer(v, v.conj()), d_ref)
-        state = channel_output_state(ch, psi)
+        expected = extend_apply(lambda m: kraus_apply(ops, m), d_in, d_out, np.outer(v, v.conj()), d_ref)
+        state = channel_output_state(kraus_channel(ops, d_in, d_out), psi)
         assert state.dims == BipartitionDims(d_ref, d_out)
         np.testing.assert_allclose(state.matrix, expected, rtol=0, atol=1e-12)
 
@@ -335,7 +372,7 @@ class TestChannelMeasure:
     @pytest.mark.parametrize(
         "channel, reason",
         [
-            (KrausChannel((0.5 * np.eye(2),), 2, 2), "not trace-preserving"),
+            (kraus_channel([0.5 * np.eye(2)], 2, 2), "not trace-preserving"),
             (SuperOperator(swap_operator(2), 2, 2), "not completely positive"),
         ],
         ids=["kraus_not_tp", "transpose_not_cp"],
@@ -390,14 +427,14 @@ class TestWernerHolevo:
 
 class TestChannelJson:
     def test_kraus_round_trip(self, tmp_path):
-        ch = random_kraus_channel(2, 2, 2, seed=15)
+        ops = random_kraus_ops(2, 2, 2, seed=15)
         payload = {
             "kind": "kraus",
             "dims_in": [2],
             "dims_out": [2],
             "data": [
                 [[[float(e.real), float(e.imag)] for e in row] for row in k]
-                for k in ch.kraus_ops
+                for k in ops
             ],
         }
         path = tmp_path / "chan.json"
@@ -405,9 +442,8 @@ class TestChannelJson:
         from alphaneg.channels import load_channel
 
         back = load_channel(path)
-        assert isinstance(back, KrausChannel)
-        for a, b in zip(back.kraus_ops, ch.kraus_ops):
-            np.testing.assert_allclose(a, b, atol=1e-15)
+        assert isinstance(back, SuperOperator)
+        np.testing.assert_allclose(choi_of(back), kraus_choi(ops), atol=1e-15)
 
     def test_superop_with_bipartitions(self):
         ch = werner_holevo_channel(0.5, 2)

@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import json
 import math
+import shlex
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +308,22 @@ def test_sweep_manifest_records_how_the_csv_was_made(ppt_state, tmp_path):
     assert manifest["alphas"] == ["1.0", "2.0"]
 
 
+@pytest.mark.parametrize("from_sys_argv", [False, True], ids=["argv", "sys_argv"])
+def test_sweep_manifest_command_is_the_argv_main_was_given(ppt_state, tmp_path, monkeypatch, from_sys_argv):
+    # the space in the output path needs quoting; the host process's own
+    # argv (here pytest's) must not leak in
+    out = tmp_path / "my sweep.csv"
+    args = ["sweep", str(ppt_state), "--alphas", "1,2", "--out", str(out)]
+    if from_sys_argv:
+        monkeypatch.setattr(sys, "argv", ["any-launcher", *args])
+        assert main() == EXIT_OK
+    else:
+        assert main(args) == EXIT_OK
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["command"] == shlex.join(["alphaneg", *args])
+    assert shlex.split(manifest["command"]) == ["alphaneg", *args]
+
+
 @pytest.mark.parametrize("name", ["normalization", "no-monogamy", "two-qubit-collapse"])
 def test_repro_target_passes_every_row(capsys, name):
     assert main(["repro", name]) == EXIT_OK
@@ -328,3 +348,17 @@ def test_channel_that_is_not_trace_preserving_exits_invalid(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: channel is not trace-preserving\n"
+
+
+def test_kraus_file_whose_superoperator_overflows_exits_invalid_with_one_error_line(tmp_path, capsys):
+    # finite entries whose products in sum_k K (x) conj(K) overflow; a
+    # warning would print a second line on standard error
+    path = tmp_path / "huge.json"
+    huge = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]
+    path.write_text(json.dumps({"kind": "kraus", "dims_in": [2], "dims_out": [2], "data": [huge]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["channel", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed channel JSON: superoperator entries must be finite\n"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alphaneg.channels import Instrument, KrausChannel, channel_e_alpha, werner_holevo_channel
+from alphaneg.channels import Instrument, channel_e_alpha, kraus_channel, werner_holevo_channel
 from alphaneg.divergence import (
     binegativity_psd,
     check_alpha,
@@ -323,9 +323,9 @@ class TestDivergenceInvariants:
 
 BELL = max_entangled(2)
 PT22 = builtin_map("partial_transpose", BipartitionDims(2, 2))
-ID22 = KrausChannel((np.eye(4, dtype=complex),), 4, 4, BipartitionDims(2, 2), BipartitionDims(2, 2))
+ID22 = kraus_channel([np.eye(4, dtype=complex)], 4, 4, BipartitionDims(2, 2), BipartitionDims(2, 2))
 # beyond the channel search's input-dimension cap, so the order is seen first
-ID5 = KrausChannel((np.eye(5, dtype=complex),), 5, 5)
+ID5 = kraus_channel([np.eye(5, dtype=complex)], 5, 5)
 # Every public function that takes an order, on small valid inputs.
 ORDER_TAKERS = {
     "check_alpha": check_alpha,

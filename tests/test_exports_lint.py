@@ -27,8 +27,7 @@ ENTRY_POINTS = (
     "free_instrument_monotonicity_check",
     # inputs a caller builds
     "werner_state",
-    "PureState",
-    "KrausChannel",
+    "kraus_channel",
     "Instrument",
     "PositiveMapSpec",
     "builtin_map",

@@ -8,23 +8,27 @@ from hypothesis import strategies as st
 
 from alphaneg.divergence import log_negativity
 from alphaneg.errors import InvalidStateError
-from alphaneg.linalg import BipartitionDims, partial_transpose, schatten_norm, tensor
+from alphaneg.linalg import (
+    BipartitionDims,
+    partial_trace,
+    partial_transpose,
+    permute_subsystems,
+    schatten_norm,
+    tensor,
+)
 from alphaneg.states import (
     BipartiteState,
-    PureState,
     cq_assemble,
     load_state,
     max_entangled,
     no_convexity_fixture,
     no_monogamy_fixture,
-    one_vs_rest,
     ppt_membership,
     random_state,
     save_state,
     state_from_json,
     state_to_json,
     swap_operator,
-    tripartite_marginal,
     werner_state,
 )
 
@@ -140,48 +144,48 @@ class TestFixtures:
         assert np.linalg.eigvalsh(partial_transpose(mixed.matrix, DIMS22))[0] < -1e-3
 
     def test_no_monogamy_amplitudes(self):
-        psi = no_monogamy_fixture()
-        expected = np.zeros(8)
-        expected[0] = 0.5
-        expected[3] = 0.5
-        expected[6] = 1 / math.sqrt(2)
-        np.testing.assert_allclose(psi.amplitudes, expected, atol=1e-14)
-        assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
+        _, _, whole = no_monogamy_fixture()
+        v = np.zeros(8)
+        v[0] = 0.5
+        v[3] = 0.5
+        v[6] = 1 / math.sqrt(2)
+        assert whole.dims == BipartitionDims(2, 4)
+        np.testing.assert_allclose(whole.matrix, np.outer(v, v), rtol=0, atol=1e-15)
 
     def test_no_monogamy_marginals(self):
-        psi = no_monogamy_fixture()
-        ab = tripartite_marginal(psi, (0, 1))
-        ac = tripartite_marginal(psi, (0, 2))
-        whole = one_vs_rest(psi, 0)
-        for state in (ab, ac):
+        ab, ac, whole = no_monogamy_fixture()
+        # the A:B and A:C marginals of the A:BC state, by tracing out C and B
+        traced = BipartitionDims(4, 2)
+        expected_ab = partial_trace(whole.matrix, traced, "B")
+        expected_ac = partial_trace(permute_subsystems(whole.matrix, (2, 2, 2), (0, 2, 1)), traced, "B")
+        for state, expected in ((ab, expected_ab), (ac, expected_ac)):
             assert state.dims == DIMS22
-            assert abs(np.trace(state.matrix).real - 1) < 1e-12
-        assert whole.dims == BipartitionDims(2, 4)
+            np.testing.assert_allclose(state.matrix, expected, rtol=0, atol=1e-15)
         # closed-form check: the A:BC split carries one full bit
         assert abs(log_negativity(whole) - 1.0) < 1e-10
 
     def test_no_monogamy_violation_margin(self):
-        psi = no_monogamy_fixture()
-        total = log_negativity(tripartite_marginal(psi, (0, 1))) + log_negativity(
-            tripartite_marginal(psi, (0, 2))
-        )
-        assert total - log_negativity(one_vs_rest(psi, 0)) > 0.01
+        ab, ac, whole = no_monogamy_fixture()
+        total = log_negativity(ab) + log_negativity(ac)
+        assert total - log_negativity(whole) > 0.01
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4)])
     @pytest.mark.parametrize("keep", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
     def test_marginal_matches_einsum(self, rng, dims, keep):
+        # the permute-and-trace that checks the fixture's marginals, for every
+        # ordered pair of three parties
         v = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(int(np.prod(dims)))
-        psi = PureState(v / np.linalg.norm(v), dims)
+        v /= np.linalg.norm(v)
         i, j = keep
         (k,) = {0, 1, 2} - {i, j}
         ket, bra = list("abc"), list("def")
         bra[k] = ket[k]
         spec = f"{''.join(ket)},{''.join(bra)}->{ket[i]}{ket[j]}{bra[i]}{bra[j]}"
-        t = psi.amplitudes.reshape(dims)
+        t = v.reshape(dims)
         expected = np.einsum(spec, t, t.conj()).reshape(dims[i] * dims[j], -1)
-        got = tripartite_marginal(psi, keep)
-        assert got.dims == BipartitionDims(dims[i], dims[j])
-        np.testing.assert_allclose(got.matrix, expected, rtol=0, atol=1e-14)
+        permuted = permute_subsystems(np.outer(v, v.conj()), dims, (i, j, k))
+        got = partial_trace(permuted, BipartitionDims(dims[i] * dims[j], dims[k]), "B")
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
 
 class TestCqStates:
