@@ -39,7 +39,6 @@ from .solver import (
     MeasureResult,
     SolverConfig,
     alpha_sweep,
-    bracket,
     e_alpha,
     e_kappa,
 )

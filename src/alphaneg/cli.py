@@ -92,8 +92,8 @@ def _sweep_orders(args) -> list[float]:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise ValueError(f"bad grid spec {args.grid!r}, expected lo:hi:n ({exc})") from exc
-    if not (lo <= hi and n >= 1):
-        raise ValueError(f"grid {args.grid!r} needs lo <= hi and n >= 1")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and n >= 1):
+        raise ValueError(f"grid {args.grid!r} needs finite lo <= hi and n >= 1")
     return list(np.linspace(lo, hi, n))
 
 
@@ -167,11 +167,7 @@ def cmd_project(args) -> int:
         dims, matrix = loaded
     else:
         dims, matrix = loaded.dims, loaded.matrix
-    try:
-        projected = project_ppt(matrix, dims)
-    except NotConvergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNCONVERGED
+    projected = project_ppt(matrix, dims)
     out = args.out or (str(args.state) + ".projected.json")
     save_state(out, projected)
     print(f"projected state written to {out}")
@@ -389,6 +385,10 @@ def main(argv=None) -> int:
     try:
         args.cfg = _config_from_args(args)
         return args.func(args)
+    except NotConvergedError as exc:
+        # a stalled projection: ``project`` writes nothing
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNCONVERGED
     except OutOfDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OUT_OF_DOMAIN

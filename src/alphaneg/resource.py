@@ -3,12 +3,16 @@
 The free set is {sigma : sigma >= 0, P(sigma) >= 0, Tr sigma = 1} and the
 measure is the infimum over it of the order-alpha divergence of P(rho).  This
 module holds the one measure engine, ``_measure``: the free-input
-short-circuit, the closed form at order 1, projected gradient between, the
-barrier SDP at order infinity, and the bracket audit ``_audit``.  ``r_alpha``
-validates a ``PositiveMapSpec`` and calls the engine; ``solver.e_alpha``
-calls it with the partial transpose T_B, so the entanglement measure is the
-T_B case of this one, and ``solver.e_kappa`` is ``e_alpha`` at order
-infinity.  Every outcome comes back in the ``MeasureResult``.  The engine's
+short-circuit, the closed form at order 1, projected gradient between and
+the barrier SDP at order infinity.  Every result gets the one bracket audit
+of ``solver``: a finite-order result goes through ``solver.bracket``, which
+solves the SDP upper endpoint on the engine's own P(rho) when the config
+asks for it, and the SDP value, its own upper endpoint, is checked against
+the closed-form lower one.  ``r_alpha`` validates a ``PositiveMapSpec`` and
+calls the engine; ``solver.e_alpha`` calls it with the partial transpose
+T_B, so the entanglement measure is the T_B case of this one, and
+``solver.e_kappa`` is ``e_alpha`` at order infinity.  Every outcome comes
+back in the ``MeasureResult``.  The engine's
 P(rho) >= 0 test is the one free-state test; ``states.ppt_membership`` is the
 same test for T_B.
 
@@ -54,8 +58,10 @@ from .solver import (
     DEFAULT_CONFIG,
     MeasureResult,
     SolverConfig,
+    _check_bracket,
     _kappa_core,
     _pg_core,
+    bracket,
 )
 from .states import STATE_ATOL, BipartiteState, as_state
 
@@ -120,11 +126,7 @@ def r_alpha(rho, pmap: PositiveMapSpec, alpha: float, cfg: SolverConfig = DEFAUL
     rho = as_state(rho)
     _require_dim(pmap, rho.dims.total, "state dimension")
     X = herm_part(pmap.apply(rho.matrix))
-    lower = _log2_trace_norm(X)
-    return _measure(
-        rho, X, pmap.apply, lower, alpha, cfg,
-        lambda result: _audit(rho, result, pmap.apply, lower, cfg),
-    )
+    return _measure(rho, X, pmap.apply, _log2_trace_norm(X), alpha, cfg)
 
 
 def _measure(
@@ -134,18 +136,16 @@ def _measure(
     lower: float,
     alpha: float,
     cfg: SolverConfig,
-    audit: Callable[[MeasureResult], object],
 ) -> MeasureResult:
     """The measure of rho at a validated order, for a trusted map P.
 
     X is P(rho) and ``lower`` the closed-form order-1 value.  A free input
     (P(rho) >= 0) short-circuits to zero; otherwise order 1 is closed form,
     order infinity the SDP, and the orders between run projected gradient.
-    ``audit`` fills in and checks the bracket of converged finite-order
-    results: the public ``solver.bracket`` on the T_B path, ``_audit`` for
-    other maps; the SDP value is checked by ``_audit`` itself.  An exhausted
-    budget is returned, not raised, with ``converged`` False and a
-    diagnostic.
+    ``solver.bracket`` fills in and checks the bracket of a converged
+    finite-order result, on this X; the SDP value is its own upper endpoint
+    and only gets the check.  An exhausted budget is returned, not raised,
+    with ``converged`` False and a diagnostic.
     """
     if float(np.linalg.eigvalsh(X)[0]) >= -STATE_ATOL:
         return MeasureResult(
@@ -163,9 +163,7 @@ def _measure(
         result = MeasureResult(
             value, alpha, BipartiteState(rho.dims, S / np.trace(S).real), iters, True, (lower, value)
         )
-        # straight to _audit, not ``audit``: the SDP value is its own upper
-        # endpoint, so the public ``solver.bracket`` has nothing to solve
-        _audit(rho, result, apply_map, lower, cfg)
+        _check_bracket(result, lower, value, cfg.value_tol)
         return result
     if alpha == 1:
         result = MeasureResult(lower, 1.0, interior_point(rho.dims), 0, True, (lower, math.inf))
@@ -177,39 +175,8 @@ def _measure(
         if not ok:
             result.diagnostic = "projected gradient exhausted max_iter"
             return result
-    audit(result)
+    bracket(result, X, apply_map, lower, cfg)
     return result
-
-
-def _audit(
-    rho: BipartiteState,
-    result: MeasureResult,
-    apply_map: Callable[[np.ndarray], np.ndarray],
-    lower: float,
-    cfg: SolverConfig,
-) -> tuple[float, float]:
-    """Fill in the [order-1, order-infinity] bracket and audit the value.
-
-    The SDP upper endpoint is solved, on P(rho), only when the config asks
-    for it; the closed-form lower endpoint is always checked.
-    """
-    if math.isinf(result.alpha):
-        upper = result.value_bits
-    elif cfg.with_bracket:
-        X = herm_part(apply_map(rho.matrix))
-        upper = math.log2(_kappa_core(X, apply_map)[0])
-    else:
-        upper = math.inf
-    result.bracket = (lower, upper)
-    if result.converged and not (
-        lower - cfg.value_tol <= result.value_bits <= upper + cfg.value_tol
-    ):
-        result.converged = False
-        result.diagnostic = (
-            f"value {result.value_bits:.6f} escapes bracket "
-            f"[{lower:.6f}, {upper:.6f}] beyond value_tol {cfg.value_tol:g}"
-        )
-    return lower, upper
 
 
 def _check_free_operation(instr, pmap: PositiveMapSpec) -> None:

@@ -30,13 +30,16 @@ Three routes, one value scale (bits, log base 2):
   least squares.
 
 Both cores take the map as a callable, so they serve any positive map.  The
-branching between the routes, the PPT short-circuit and the bracket audit
-live in one engine, ``resource._measure``: ``e_alpha`` and ``bracket`` here
-are its entries for the partial transpose T_B, and ``e_kappa`` is
-``e_alpha`` at order infinity.  Each result carries the sanity bracket
-[closed-form lower endpoint, SDP upper endpoint]; a converged value must sit
-inside it up to ``value_tol``.  Every outcome, an exhausted budget included,
-comes back in the ``MeasureResult``; none is raised.
+branching between the routes and the PPT short-circuit live in one engine,
+``resource._measure``: ``e_alpha`` here is its entry for the partial
+transpose T_B, and ``e_kappa`` is ``e_alpha`` at order infinity.  Each
+result carries the sanity bracket [closed-form lower endpoint, SDP upper
+endpoint]; a converged value must sit inside it up to ``value_tol``.
+``bracket`` is the one audit of it for every map: the engine hands it a
+finite-order result with the P(rho) it solved on, and it solves the SDP
+endpoint on that matrix when the config asks for it.  Every outcome, an
+exhausted budget included, comes back in the ``MeasureResult``; none is
+raised.
 
 The optimizer state sigma* = |X| / ||X||_1 is feasible exactly when the
 partial transpose of |X| is PSD, and in that case it is optimal for every
@@ -49,6 +52,7 @@ inputs this turns the search into a stationarity check.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -90,10 +94,10 @@ class SolverConfig:
         # written so that NaN fails each check
         if not (math.isfinite(self.value_tol) and self.value_tol > 0):
             raise ValueError(f"value_tol must be finite and positive, got {self.value_tol}")
-        if not self.max_iter >= 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not self.restarts >= 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        for name, least in (("max_iter", 1), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -534,27 +538,44 @@ def e_alpha(rho, alpha: float, cfg: SolverConfig = DEFAULT_CONFIG) -> MeasureRes
     Closed form at order 1, projected gradient for finite orders above 1, the
     SDP at order infinity.  PPT inputs short-circuit to exactly zero.
     """
+    # imported here: resource imports this module
     from .resource import _measure
 
     alpha = check_alpha(alpha)
     rho = as_state(rho)
     X = partial_transpose(rho.matrix, rho.dims, "B")
-    return _measure(
-        rho, X, _pt(rho.dims), log_negativity(rho), alpha, cfg,
-        lambda result: bracket(rho, result, cfg),
-    )
+    return _measure(rho, X, _pt(rho.dims), log_negativity(rho), alpha, cfg)
 
 
-def bracket(rho, result: MeasureResult, cfg: SolverConfig = DEFAULT_CONFIG) -> tuple[float, float]:
-    """Fill in the [order-1, order-infinity] sanity bracket and audit the value.
+def bracket(
+    result: MeasureResult,
+    X: np.ndarray,
+    apply_map: Callable[[np.ndarray], np.ndarray],
+    lower: float,
+    cfg: SolverConfig,
+) -> tuple[float, float]:
+    """Fill in the [order-1, order-infinity] bracket of a finite-order result
+    and audit its value.
 
-    The SDP upper endpoint is computed only when the config asks for it; the
-    closed-form lower endpoint is always checked.
+    X is the map's image P(rho) the engine solved on and ``lower`` its
+    closed-form order-1 value.  The SDP upper endpoint is solved on X only
+    when the config asks for it; the lower endpoint is always checked.
     """
-    from .resource import _audit
+    upper = math.log2(_kappa_core(X, apply_map)[0]) if cfg.with_bracket else math.inf
+    _check_bracket(result, lower, upper, cfg.value_tol)
+    return lower, upper
 
-    rho = as_state(rho)
-    return _audit(rho, result, _pt(rho.dims), log_negativity(rho), cfg)
+
+def _check_bracket(result: MeasureResult, lower: float, upper: float, value_tol: float) -> None:
+    """Set ``result.bracket``; a converged value outside it by more than
+    ``value_tol`` is marked unconverged, with a diagnostic."""
+    result.bracket = (lower, upper)
+    if result.converged and not (lower - value_tol <= result.value_bits <= upper + value_tol):
+        result.converged = False
+        result.diagnostic = (
+            f"value {result.value_bits:.6f} escapes bracket "
+            f"[{lower:.6f}, {upper:.6f}] beyond value_tol {value_tol:g}"
+        )
 
 
 def alpha_sweep(rho, alphas: Sequence[float], cfg: SolverConfig = DEFAULT_CONFIG) -> list[MeasureResult]:

@@ -255,20 +255,15 @@ def lemma_batteries(seed: int = 0, instances: int = 100) -> list[SuiteReport]:
 # measure-level suites
 
 
-def _suite_cfg(cfg: SolverConfig | None) -> SolverConfig:
-    cfg = cfg or DEFAULT_CONFIG
-    return replace(cfg, with_bracket=False)
-
-
 def _mixed_dims(rng) -> BipartitionDims:
     return [BipartitionDims(2, 2), BipartitionDims(2, 3), BipartitionDims(3, 3)][
         int(rng.integers(3))
     ]
 
 
-def ordering_suite(seed: int = 0, instances: int = 30, cfg: SolverConfig | None = None) -> SuiteReport:
+def ordering_suite(seed: int = 0, instances: int = 30, cfg: SolverConfig = DEFAULT_CONFIG) -> SuiteReport:
     """Measure values are monotone along 1 <= 1.5 <= 2 <= 5 <= inf."""
-    cfg = _suite_cfg(cfg)
+    cfg = replace(cfg, with_bracket=False)
     rng = np.random.default_rng(seed)
 
     def slacks():
@@ -283,10 +278,10 @@ def ordering_suite(seed: int = 0, instances: int = 30, cfg: SolverConfig | None 
 
 
 def monotonicity_suite(
-    seed: int = 0, n_instruments: int = 50, n_states: int = 10, cfg: SolverConfig | None = None
+    seed: int = 0, n_instruments: int = 50, n_states: int = 10, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> SuiteReport:
     """Selective PPT-preserving instruments never increase the average measure."""
-    cfg = _suite_cfg(cfg)
+    cfg = replace(cfg, with_bracket=False)
     rng = np.random.default_rng(seed)
     dims = BipartitionDims(2, 2)
     states_list = [
@@ -318,9 +313,9 @@ def monotonicity_suite(
     return _tally("instrument-monotonicity", slacks(), 3 * cfg.value_tol)
 
 
-def subadditivity_suite(seed: int = 0, n_pairs: int = 3, cfg: SolverConfig | None = None) -> SuiteReport:
+def subadditivity_suite(seed: int = 0, n_pairs: int = 3, cfg: SolverConfig = DEFAULT_CONFIG) -> SuiteReport:
     """Measure of a tensor product never exceeds the sum of the parts."""
-    cfg = _suite_cfg(cfg)
+    cfg = replace(cfg, with_bracket=False)
     rng = np.random.default_rng(seed)
     dims = BipartitionDims(2, 2)
 
@@ -336,9 +331,9 @@ def subadditivity_suite(seed: int = 0, n_pairs: int = 3, cfg: SolverConfig | Non
     return _tally("subadditivity", slacks(), 3 * cfg.value_tol)
 
 
-def faithfulness_suite(seed: int = 0, instances: int = 20, cfg: SolverConfig | None = None) -> SuiteReport:
+def faithfulness_suite(seed: int = 0, instances: int = 20, cfg: SolverConfig = DEFAULT_CONFIG) -> SuiteReport:
     """Positive exactly on NPT states, zero exactly on PPT states."""
-    cfg = _suite_cfg(cfg)
+    cfg = replace(cfg, with_bracket=False)
     rng = np.random.default_rng(seed)
 
     def slacks():
@@ -379,7 +374,7 @@ SUITES = {
 
 
 def run_suite(
-    name: str, seed: int = 0, cfg: SolverConfig | None = None, smoke: bool = False
+    name: str, seed: int = 0, cfg: SolverConfig = DEFAULT_CONFIG, smoke: bool = False
 ) -> list[SuiteReport]:
     if name == "all":
         reports = []

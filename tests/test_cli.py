@@ -13,6 +13,7 @@ import pytest
 from alphaneg import cli
 from alphaneg.channels import werner_holevo_channel
 from alphaneg.cli import EXIT_INVALID, EXIT_OK, EXIT_OUT_OF_DOMAIN, EXIT_UNCONVERGED, main
+from alphaneg.errors import NotConvergedError
 from alphaneg.linalg import BipartitionDims
 from alphaneg.states import (
     load_state,
@@ -48,12 +49,16 @@ class TestSweepOrders:
             ["--grid", "1:2:0"],
             ["--grid", "1:2"],
             ["--alphas", "0.5,2"],
+            ["--grid", "1:inf:3"],
         ],
     )
     def test_bad_orders_exit_invalid_without_output(self, ppt_state, tmp_path, capsys, orders):
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", str(ppt_state), *orders, "--out", str(out)]) == EXIT_INVALID
-        assert capsys.readouterr().err.startswith("error: ")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", str(ppt_state), *orders, "--out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_unwritable_out_fails_before_any_solve(self, ppt_state, tmp_path, capsys, monkeypatch):
@@ -182,6 +187,18 @@ def test_project_leaves_a_ppt_state_in_place(ppt_state, tmp_path):
     out = tmp_path / "projected.json"
     assert main(["project", str(ppt_state), "--out", str(out)]) == EXIT_OK
     np.testing.assert_allclose(load_state(out).matrix, werner_state(2, 0.4).matrix, atol=1e-8)
+
+
+def test_stalled_projection_exits_unconverged_without_output(npt_state, tmp_path, capsys, monkeypatch):
+    def stalled(matrix, dims):
+        raise NotConvergedError("Dykstra projection stalled", iterate=matrix, residual=1.0)
+
+    monkeypatch.setattr(cli, "project_ppt", stalled)
+    out = tmp_path / "projected.json"
+    assert main(["project", str(npt_state), "--out", str(out)]) == EXIT_UNCONVERGED
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: Dykstra projection stalled\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -2,16 +2,15 @@
 
 A stand-in for a lint step, next to ``test_not_converged_lint.py``:
 ``src/alphaneg/cli.py`` is parsed with ``ast``, and an ``except`` clause is
-flagged unless its outermost enclosing function is ``main``,
-``_sweep_orders`` (which re-raises with the grid spec in the message) or
-``cmd_project`` (which reports a stalled projection with exit 3).
+flagged unless its outermost enclosing function is ``main`` or
+``_sweep_orders`` (which re-raises with the grid spec in the message).
 """
 
 import ast
 from pathlib import Path
 
 CLI = Path(__file__).resolve().parent.parent / "src" / "alphaneg" / "cli.py"
-CATCH_SITES = {"main", "_sweep_orders", "cmd_project"}
+CATCH_SITES = {"main", "_sweep_orders"}
 
 
 def _violations(tree: ast.Module) -> list[str]:

@@ -5,7 +5,7 @@ A stand-in for a lint step, next to ``test_imports.py``: each
 ``src/alphaneg/*.py`` is parsed with ``ast``.  Measure solves report an
 exhausted budget in ``MeasureResult`` instead of raising it, so a
 ``raise NotConvergedError`` outside ``pptgeom``, or an ``except`` clause
-naming it outside ``solver._pg_core`` and ``cli.cmd_project``, is flagged.
+naming it outside ``solver._pg_core`` and ``cli.main``, is flagged.
 A site is named by its module and its outermost enclosing function.
 """
 
@@ -15,7 +15,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "alphaneg"
 NAME = "NotConvergedError"
 RAISE_MODULES = {"pptgeom"}
-CATCH_SITES = {("solver", "_pg_core"), ("cli", "cmd_project")}
+CATCH_SITES = {("solver", "_pg_core"), ("cli", "main")}
 
 
 def _names(node) -> set[str]:

@@ -11,7 +11,7 @@ from alphaneg.channels import (
     kraus_channel,
     random_local_instrument,
 )
-from alphaneg import resource
+from alphaneg import resource, solver
 from alphaneg.divergence import log_negativity
 from alphaneg.errors import CommutationFailedError, UnsupportedMapError
 from alphaneg.linalg import BipartitionDims, partial_transpose
@@ -99,9 +99,10 @@ class TestRAlpha:
         states.append(werner_state(2, 0.4))  # PPT
         for rho in states:
             for alpha in (1.0, 1.5, 2.0, math.inf):
-                r_res = r_alpha(rho, PT22, alpha, FAST)
-                r_ent = e_alpha(rho, alpha, FAST)
-                assert _fingerprint(r_res) == _fingerprint(r_ent)
+                for cfg in (FAST, DEFAULT_CONFIG):
+                    r_res = r_alpha(rho, PT22, alpha, cfg)
+                    r_ent = e_alpha(rho, alpha, cfg)
+                    assert _fingerprint(r_res) == _fingerprint(r_ent)
 
     def test_reduction_at_order_inf(self):
         rho = random_state(DIMS22, 2, seed=101)
@@ -176,7 +177,9 @@ class TestOutcomesAreReturned:
             calls.append(args)
             return real(*args)
 
+        # the engine solves order infinity, solver.bracket the finite-order endpoint
         monkeypatch.setattr(resource, "_kappa_core", counted)
+        monkeypatch.setattr(solver, "_kappa_core", counted)
         return calls
 
     @pytest.mark.parametrize(
@@ -207,6 +210,7 @@ class TestOutcomesAreReturned:
             return trace_val / 2, S, steps
 
         monkeypatch.setattr(resource, "_kappa_core", halved)
+        monkeypatch.setattr(solver, "_kappa_core", halved)
 
     def test_kappa_below_the_lower_endpoint_escapes_its_bracket(self, halved_kappa):
         r = e_kappa(max_entangled(2))

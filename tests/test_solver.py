@@ -308,9 +308,24 @@ class TestBracket:
         rho = random_npt(DIMS22, 21)
         r = e_alpha(rho, 2.0, FAST)
         assert math.isinf(r.bracket[1])
-        lo, hi = bracket(rho, r, DEFAULT_CONFIG)
+        X = partial_transpose(rho.matrix, rho.dims, "B")
+        lo, hi = bracket(r, X, solver._pt(rho.dims), log_negativity(rho), DEFAULT_CONFIG)
         assert r.bracket == (lo, hi)
         assert np.isfinite(hi)
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, FAST], ids=["bracket_on", "bracket_off"])
+    def test_log_negativity_is_computed_once_per_solve(self, monkeypatch, cfg):
+        calls = []
+        real = solver.log_negativity
+
+        def counted(rho):
+            calls.append(rho)
+            return real(rho)
+
+        monkeypatch.setattr(solver, "log_negativity", counted)
+        r = e_alpha(random_npt(DIMS22, 21), 2.0, cfg)
+        assert r.converged
+        assert len(calls) == 1
 
 
 class TestAlphaSweep:
@@ -375,13 +390,23 @@ class TestConfigValidation:
             ("value_tol", math.inf),
             ("max_iter", 0),
             ("max_iter", math.nan),
+            ("max_iter", 2.5),
+            ("max_iter", math.inf),
             ("restarts", 0),
             ("restarts", math.nan),
+            ("restarts", 1.5),
+            ("seed", 1.5),
+            ("seed", -1),
         ],
     )
     def test_rejects_invalid_fields(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
+
+    def test_accepts_python_and_numpy_integers(self):
+        for make in (int, np.int64, np.uint8):
+            cfg = SolverConfig(max_iter=make(7), restarts=make(2), seed=make(0))
+            assert (cfg.max_iter, cfg.restarts, cfg.seed) == (7, 2, 0)
 
     def test_settable_values(self):
         names = [f.name for f in dataclasses.fields(SolverConfig)]
