@@ -141,11 +141,13 @@ def _measure(
 
     X is P(rho) and ``lower`` the closed-form order-1 value.  A free input
     (P(rho) >= 0) short-circuits to zero; otherwise order 1 is closed form,
-    order infinity the SDP, and the orders between run projected gradient.
-    ``solver.bracket`` fills in and checks the bracket of a converged
-    finite-order result, on this X; the SDP value is its own upper endpoint
-    and only gets the check.  An exhausted budget is returned, not raised,
-    with ``converged`` False and a diagnostic.
+    order infinity the SDP, and the orders between run projected gradient,
+    which stops, converged, once its upper value is within
+    ``solver._CERTIFIED_GAP`` bits of ``lower``.  ``solver.bracket`` fills in
+    and checks the bracket of a converged finite-order result, on this X;
+    the SDP value is its own upper endpoint and only gets the check.  An
+    exhausted budget is returned, not raised, with ``converged`` False and a
+    diagnostic.
     """
     if float(np.linalg.eigvalsh(X)[0]) >= -STATE_ATOL:
         return MeasureResult(
@@ -168,7 +170,7 @@ def _measure(
     if alpha == 1:
         result = MeasureResult(lower, 1.0, interior_point(rho.dims), 0, True, (lower, math.inf))
     else:
-        value, point, iters, ok = _pg_core(X, apply_map, alpha, cfg.max_iter)
+        value, point, iters, ok = _pg_core(X, apply_map, alpha, cfg.max_iter, lower)
         result = MeasureResult(
             value, alpha, BipartiteState(rho.dims, point), iters, ok, (lower, math.inf)
         )

@@ -45,8 +45,11 @@ The optimizer state sigma* = |X| / ||X||_1 is feasible exactly when the
 partial transpose of |X| is PSD, and in that case it is optimal for every
 order (its order-infinity value equals the order-1 value, and the family is
 monotone in the order).  The gradient loop therefore tries it as a starting
-point next to the maximally mixed state; for two-qubit, pure and Werner
-inputs this turns the search into a stationarity check.
+point next to the maximally mixed state.  Since no order goes below the
+closed-form order-1 value, the loop stops as soon as its best upper value is
+within ``_CERTIFIED_GAP`` bits of it, which certifies the value to that gap.
+So projected gradient certifies most collapse-class inputs, two-qubit and
+Werner states among them, at their first steps instead of running to a stall.
 """
 
 from __future__ import annotations
@@ -107,10 +110,14 @@ DEFAULT_CONFIG = SolverConfig()
 class MeasureResult:
     """Every outcome of a measure solve; no ``NotConvergedError`` is raised.
 
-    ``converged`` is False, and ``diagnostic`` says why, when projected
-    gradient exhausts ``max_iter`` or when a value escapes its bracket beyond
-    ``value_tol``; ``value_bits`` is still the best value found.  A free
-    input reads 0, converged, with a diagnostic that says so.
+    ``converged`` is True when projected gradient stopped on its own rules:
+    certified within ``_CERTIFIED_GAP`` bits of the order-1 lower bound, or
+    stalled with the smoothing weight at its floor (see ``_pg_core``); the
+    order-1 closed form and the SDP are converged as computed.  It is False,
+    and ``diagnostic`` says why, when projected gradient exhausts
+    ``max_iter`` or when a value escapes its bracket beyond ``value_tol``;
+    ``value_bits`` is still the best value found.  A free input reads 0,
+    converged, with a diagnostic that says so.
     """
 
     value_bits: float
@@ -166,6 +173,9 @@ def _log_objective(
 # Stationarity: projected step length over step size at or below this stops
 # the descent once the smoothing weight sits at its floor.
 _GRAD_TOL = 1e-6
+# Certified stop, in bits: the best upper value within this of the closed-form
+# order-1 lower bound, which no order can go below, stops the descent.
+_CERTIFIED_GAP = 1e-9
 # Armijo backtracking on the projected direction.
 _ARMIJO_INITIAL_STEP = 1.0
 _ARMIJO_SHRINK = 0.5
@@ -198,8 +208,13 @@ def _pg_core(
     apply_map: Callable[[np.ndarray], np.ndarray],
     alpha: float,
     max_iter: int,
+    lower: float,
 ):
     """Projected gradient descent of f over the free set.
+
+    X is the map's image P(rho), ``apply_map`` the map, ``max_iter`` the
+    iteration budget and ``lower`` the closed-form order-1 value of X
+    (log2 ||X||_1), which bounds the value at every order from below.
 
     Iterates are kept essentially feasible by Dykstra projection; every point
     the objective is evaluated at is additionally mixed with the maximally
@@ -207,6 +222,17 @@ def _pg_core(
     schedule and the residual infeasibility of the iterate, so each evaluated
     point is a strictly interior free state and the reported value is a
     rigorous upper bound on the infimum.
+
+    The descent stops, converged, when the best upper value comes within
+    ``_CERTIFIED_GAP`` bits of ``lower``: the value is then certified to that
+    gap.  This is tested where the loop decides after its projection, at a
+    stationary point, at a failed line search and after an accepted step, so
+    every call runs at least one projection.  On most collapse-class
+    inputs, where |X| / ||X||_1 is free, it fires at the first steps.
+    Otherwise the descent stops, converged, at a stationary point or a
+    failed line search once the smoothing weight sits at its floor, or after
+    25 accepted steps there that change the value by at most 1e-9 relative;
+    an exhausted budget returns unconverged.
 
     Returns (value_bits, best interior sigma, iterations, converged).
     """
@@ -229,6 +255,9 @@ def _pg_core(
             return project_free_set(m, apply_map, _PG_PROJECTION)
         except NotConvergedError as exc:
             return exc.iterate
+
+    def certified() -> bool:
+        return best_log / (alpha * LN2) - lower <= _CERTIFIED_GAP
 
     def eval_log(s: np.ndarray, e: float, defect: float, want_grad: bool):
         try:
@@ -288,7 +317,7 @@ def _pg_core(
 
         at_floor = eps <= _EPS_FLOOR * (1 + 1e-12)
         if dir_norm / max(step_scale, 1e-30) <= _GRAD_TOL:
-            if at_floor:
+            if at_floor or certified():
                 converged = True
                 break
             eps = _EPS_FLOOR  # stationary at this smoothing level; finish at the floor
@@ -307,7 +336,7 @@ def _pg_core(
                 break
             t *= _ARMIJO_SHRINK
         if not accepted:
-            if at_floor:
+            if at_floor or certified():
                 converged = True  # no descent direction at numerical precision
                 break
             eps = _EPS_FLOOR
@@ -318,6 +347,9 @@ def _pg_core(
         sigma, sigma_defect = cand, segment_defect
         if cand_log < best_log:
             best_log, best_point = cand_log, reg(cand, eps, segment_defect)
+        if certified():
+            converged = True
+            break
 
         if abs(prev_log - cand_log) <= 1e-9 * max(1.0, abs(cand_log)):
             streak += 1

@@ -283,8 +283,11 @@ def test_kappa_is_compute_at_inf(request, capsys, state):
     assert code_kappa == EXIT_OK
 
 
-def test_compute_prints_an_unconverged_result(npt_state, capsys):
-    assert main(["compute", str(npt_state), "--max-iter", "3"]) == EXIT_UNCONVERGED
+def test_compute_prints_an_unconverged_result(tmp_path, capsys):
+    # NPT and not binegative, so no early certificate ends the descent
+    path = tmp_path / "hard.json"
+    save_state(path, random_state(BipartitionDims(2, 3), 3, seed=1))
+    assert main(["compute", str(path), "--max-iter", "3"]) == EXIT_UNCONVERGED
     out = capsys.readouterr().out
     assert "iterations: 3\n" in out
     assert "converged: False\n" in out

@@ -12,7 +12,7 @@ from alphaneg.channels import (
     random_local_instrument,
 )
 from alphaneg import resource, solver
-from alphaneg.divergence import log_negativity
+from alphaneg.divergence import binegativity_psd, log_negativity
 from alphaneg.errors import CommutationFailedError, UnsupportedMapError
 from alphaneg.linalg import BipartitionDims, partial_transpose
 from alphaneg.resource import (
@@ -93,6 +93,19 @@ class TestFreeMembership:
         assert r.value_bits > 0.99 and r.diagnostic != FREE
 
 
+def _conjugated_partial_transpose():
+    """2x3 dims, the seed-7 unitary V, and P(X) = V T_B(V^dag X V) V^dag."""
+    dims = BipartitionDims(2, 3)
+    rng = np.random.default_rng(7)
+    v, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    pmap = PositiveMapSpec(
+        apply=lambda m: v @ partial_transpose(v.conj().T @ m @ v, dims) @ v.conj().T,
+        dim=6,
+        name="conjugated_partial_transpose",
+    )
+    return dims, v, pmap
+
+
 class TestRAlpha:
     def test_reduction_to_entanglement_measure(self):
         states = [random_state(DIMS22, (seed % 4) + 1, seed) for seed in range(10)]
@@ -141,14 +154,7 @@ class TestRAlpha:
         # order-inf value is e_kappa(V^dag rho V).  A wrong but positive
         # definite Newton system can still reach that value, so the step
         # count is pinned as well.
-        dims = BipartitionDims(2, 3)
-        rng = np.random.default_rng(7)
-        v, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-        pmap = PositiveMapSpec(
-            apply=lambda m: v @ partial_transpose(v.conj().T @ m @ v, dims) @ v.conj().T,
-            dim=6,
-            name="conjugated_partial_transpose",
-        )
+        dims, v, pmap = _conjugated_partial_transpose()
         rho = random_state(dims, 2, seed)
         rotated = BipartiteState(dims, v.conj().T @ rho.matrix @ v)
         assert not ppt_membership(rotated)
@@ -158,6 +164,20 @@ class TestRAlpha:
         assert r.iterations == newton_steps
         # every Newton system of the dense branch factors as positive definite
         assert fallback_solves == []
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 5.0])
+    def test_conjugated_partial_transpose_certifies_a_collapse_input(self, alpha):
+        # rho = V W V^dag gives P(rho) = V T_B(W) V^dag, and |P(rho)| / ||P(rho)||_1
+        # is free for P when W is binegative: a noisy pure state here
+        dims, v, pmap = _conjugated_partial_transpose()
+        pure = random_state(dims, 1, seed=0).matrix
+        w = BipartiteState(dims, 0.9 * pure + 0.1 * np.eye(6) / 6)
+        assert not ppt_membership(w) and binegativity_psd(w)
+        r = r_alpha(BipartiteState(dims, v @ w.matrix @ v.conj().T), pmap, alpha, FAST)
+        assert r.converged
+        assert 1 <= r.iterations <= 6
+        assert r.bracket[0] == pytest.approx(log_negativity(w), abs=1e-12)
+        assert -1e-12 <= r.value_bits - r.bracket[0] <= solver._CERTIFIED_GAP
 
     def test_map_dims_must_match_state(self):
         rho = random_state(BipartitionDims(2, 3), 3, seed=206)
@@ -186,13 +206,14 @@ class TestOutcomesAreReturned:
         "measure",
         [
             lambda rho, cfg: e_alpha(rho, 2.0, cfg),
-            lambda rho, cfg: r_alpha(rho, PT22, 2.0, cfg),
+            lambda rho, cfg: r_alpha(rho, builtin_map("partial_transpose", rho.dims), 2.0, cfg),
         ],
         ids=["e_alpha", "r_alpha"],
     )
     def test_exhausted_max_iter(self, kappa_calls, measure):
-        rho = random_state(DIMS22, 2, seed=1)
-        assert not ppt_membership(rho)
+        # NPT and not binegative, so no early certificate ends the descent
+        rho = random_state(BipartitionDims(2, 3), 3, seed=1)
+        assert not ppt_membership(rho) and not binegativity_psd(rho)
         r = measure(rho, SolverConfig(max_iter=3))
         assert (r.iterations, r.converged) == (3, False)
         assert r.diagnostic == "projected gradient exhausted max_iter"

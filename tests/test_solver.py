@@ -1,9 +1,12 @@
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from alphaneg.divergence import binegativity_psd, log_negativity, mu_alpha
 from alphaneg.errors import NotPositiveDefiniteError
@@ -21,6 +24,7 @@ from alphaneg.solver import (
     e_kappa,
 )
 from alphaneg.states import (
+    BipartiteState,
     max_entangled,
     no_convexity_fixture,
     ppt_membership,
@@ -285,6 +289,59 @@ class TestKronInto:
             assert np.array_equal(buf.view(float), expected.view(float)), kind
 
 
+class TestCertifiedStop:
+    """Projected gradient stops, converged, once its upper value is within
+    ``_CERTIFIED_GAP`` bits of the closed-form E_N, which no order goes below.
+    """
+
+    @staticmethod
+    def assert_certified(r, rho, max_iterations):
+        assert r.converged
+        assert 1 <= r.iterations <= max_iterations
+        assert -1e-12 <= r.value_bits - log_negativity(rho) <= solver._CERTIFIED_GAP
+
+    @staticmethod
+    def schmidt_state(theta):
+        psi = np.zeros(4, dtype=complex)
+        psi[0], psi[3] = math.cos(theta), math.sin(theta)
+        return BipartiteState(DIMS22, np.outer(psi, psi.conj()))
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 5.0])
+    def test_pure_and_werner_stop_at_the_first_steps(self, alpha):
+        for rho in (self.schmidt_state(0.3), werner_state(2, 0.8), werner_state(3, 0.8)):
+            self.assert_certified(e_alpha(rho, alpha, FAST), rho, 2)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 5.0])
+    def test_random_two_qubit_states(self, alpha):
+        # the interior mixing weight starts at 1e-4 and decays by 0.7 per
+        # accepted step, so a few steps can pass before the evaluated value
+        # comes within the gap
+        for seed in range(8):
+            rho = random_npt(DIMS22, seed)
+            self.assert_certified(e_alpha(rho, alpha, FAST), rho, 6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(1, 4),
+        alpha=st.floats(1.05, 10.0),
+    )
+    def test_two_qubit_values_are_certified(self, seed, rank, alpha):
+        rho = random_state(DIMS22, rank, seed)
+        assume(not ppt_membership(rho))
+        r = e_alpha(rho, alpha, FAST)
+        assert r.converged
+        assert -1e-12 <= r.value_bits - log_negativity(rho) <= solver._CERTIFIED_GAP
+
+    def test_cannot_fire_on_the_hard_state(self):
+        # the bench's seed-1 hard 3x3 state: NPT and not binegative
+        rho = random_state(BipartitionDims(3, 3), 3, seed=1)
+        assert not ppt_membership(rho) and not binegativity_psd(rho)
+        r = e_alpha(rho, 1.5, FAST)
+        assert r.converged
+        assert r.value_bits - log_negativity(rho) > solver._CERTIFIED_GAP
+
+
 class TestBracket:
     def test_two_qubit_degenerate(self):
         rho = random_npt(DIMS22, 17)
@@ -411,6 +468,12 @@ class TestConfigValidation:
     def test_settable_values(self):
         names = [f.name for f in dataclasses.fields(SolverConfig)]
         assert names == ["value_tol", "max_iter", "seed", "with_bracket", "restarts"]
+
+    def test_pg_core_requires_its_lower_bound(self):
+        # every caller hands projected gradient the bound it certifies
+        # against; test_settable_values keeps the gap out of the config
+        lower = inspect.signature(solver._pg_core).parameters["lower"]
+        assert lower.default is inspect.Parameter.empty
 
     def test_measure_result_fields(self):
         r = MeasureResult(1.0, 2.0, None, 3, True, (0.9, 1.1))
