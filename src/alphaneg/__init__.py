@@ -25,7 +25,6 @@ from .errors import (
 )
 from .linalg import (
     BipartitionDims,
-    hermitian_eig,
     matrix_power_support,
     partial_trace,
     partial_transpose,
@@ -34,7 +33,7 @@ from .linalg import (
     support_leq,
     tensor,
 )
-from .pptgeom import DykstraConfig, interior_point, project_ppt, regularize
+from .pptgeom import interior_point, project_ppt, regularize
 from .solver import (
     MeasureResult,
     SolverConfig,

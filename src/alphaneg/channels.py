@@ -42,11 +42,12 @@ from .errors import InvalidStateError, OutOfDomainError
 from .linalg import (
     BipartitionDims,
     _conjugated_choi,
+    _pt,
     herm_part,
     op_norm,
     partial_trace,
 )
-from .solver import DEFAULT_CONFIG, SolverConfig, _pt, e_alpha
+from .solver import DEFAULT_CONFIG, SolverConfig, e_alpha
 from .states import BipartiteState, _pairs_to_matrix, _positive_ints, as_state, swap_operator
 
 _PROB_CUTOFF = 1e-8
@@ -68,8 +69,9 @@ def _parse_dims(spec) -> tuple[int, BipartitionDims | None]:
 @dataclass(frozen=True)
 class SuperOperator:
     """Linear map on operators stored as a (d_out^2 x d_in^2) matrix over
-    row-major vectorization; its entries must be finite and the map
-    Hermiticity-preserving."""
+    row-major vectorization; its entries must be finite, the map
+    Hermiticity-preserving, and a declared bipartition must split its side's
+    dimension."""
 
     matrix: np.ndarray
     dim_in: int
@@ -86,6 +88,12 @@ class SuperOperator:
             )
         if not np.isfinite(m).all():
             raise ValueError("superoperator entries must be finite")
+        for side, dim, bp in (
+            ("input", self.dim_in, self.bipartition_in),
+            ("output", self.dim_out, self.bipartition_out),
+        ):
+            if bp is not None and bp.total != dim:
+                raise ValueError(f"{side} bipartition {bp.dA}x{bp.dB} does not match dimension {dim}")
         object.__setattr__(self, "matrix", m)
         choi = choi_of(self)
         if op_norm(choi - choi.conj().T) > _CHOI_TOL * max(1.0, op_norm(choi)):

@@ -175,6 +175,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_channel(args) -> int:
+    check_alpha(args.alpha)
     if args.family:
         name, _, rest = args.family.partition(":")
         if name != "wh":

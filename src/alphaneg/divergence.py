@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import AlphaOutOfRangeError, ZeroOperatorError
 from .linalg import (
+    _pt,
     check_hermitian,
     herm_part,
-    hermitian_eig,
     matrix_power_support,
     partial_transpose,
     schatten_norm,
@@ -106,18 +106,35 @@ def _log2_trace_norm(X: np.ndarray) -> float:
     return max(0.0, math.log2(schatten_norm(X, 1)))
 
 
+def _free_abs(X: np.ndarray, apply_map) -> np.ndarray | None:
+    """|X| / ||X||_1 when the map keeps it PSD, else None.
+
+    X is a map's image P(rho) of a state.  The test is binegativity's:
+    lambda_min(P(|X|)) >= -STATE_ATOL, read on the normalized matrix as
+    lambda_min(P(|X| / ||X||_1)) >= -STATE_ATOL / ||X||_1.  A matrix this
+    returns is a free state that attains the order-1 value at every order.
+    """
+    w, v = np.linalg.eigh(X)
+    n1 = float(np.abs(w).sum())
+    if not n1 > 0:
+        return None
+    cand = herm_part((v * np.abs(w)) @ v.conj().T / n1)
+    if float(np.linalg.eigvalsh(apply_map(cand))[0]) >= -STATE_ATOL / n1:
+        return cand
+    return None
+
+
 def binegativity_psd(rho) -> bool:
     """True iff the partial transpose of |T_B(rho)| is PSD, within STATE_ATOL.
 
     States with this property have one common value for the whole measure
-    family (pure states, two-qubit states, Werner states among them).
+    family (pure states, two-qubit states, Werner states among them).  The
+    test is ``_free_abs``, and projected gradient starts from the matrix it
+    returns, so a binegative state starts at its optimum.
     """
     rho = as_state(rho)
     pt = partial_transpose(rho.matrix, rho.dims, "B")
-    w, v = hermitian_eig(pt)
-    absolute = (v * np.abs(w)) @ v.conj().T
-    back = partial_transpose(herm_part(absolute), rho.dims, "B")
-    return float(np.linalg.eigvalsh(back)[0]) >= -STATE_ATOL
+    return _free_abs(pt, _pt(rho.dims)) is not None
 
 
 def classical_relative_entropy(p, q) -> float:

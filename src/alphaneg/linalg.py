@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -149,6 +149,11 @@ def partial_transpose(M: np.ndarray, dims: BipartitionDims, subsystem: str = "B"
     if axes is None:
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     return M.reshape(dims.dA, dims.dB, dims.dA, dims.dB).transpose(axes).reshape(M.shape)
+
+
+def _pt(dims: BipartitionDims) -> Callable[[np.ndarray], np.ndarray]:
+    """T_B on ``dims`` as a map, the one partial-transpose callable."""
+    return lambda m: partial_transpose(m, dims, "B")
 
 
 def partial_trace(M: np.ndarray, dims: BipartitionDims, subsystem: str = "B") -> np.ndarray:

@@ -46,12 +46,7 @@ import numpy as np
 from .channels import _CHOI_TOL, _channel_search, _cp_slack, instrument_outcomes
 from .divergence import _log2_trace_norm, check_alpha
 from .errors import CommutationFailedError, UnsupportedMapError
-from .linalg import (
-    BipartitionDims,
-    frob_norm,
-    herm_part,
-    partial_transpose,
-)
+from .linalg import BipartitionDims, _pt, frob_norm, herm_part
 from .pptgeom import interior_point, regularize
 from .solver import (
     _EPS_FLOOR,
@@ -105,11 +100,7 @@ def builtin_map(name: str, dims: BipartitionDims) -> PositiveMapSpec:
     """The one named built-in, "partial_transpose": T_B on the B factor of
     ``dims``.  Any other map is a ``PositiveMapSpec`` built by the caller."""
     if name == "partial_transpose":
-        return PositiveMapSpec(
-            apply=lambda m: partial_transpose(m, dims, "B"),
-            dim=dims.total,
-            name=name,
-        )
+        return PositiveMapSpec(apply=_pt(dims), dim=dims.total, name=name)
     raise UnsupportedMapError(f"unknown built-in map {name!r}")
 
 
@@ -220,8 +211,7 @@ def r_alpha_channel(
     pmap: PositiveMapSpec,
     alpha: float,
     cfg: SolverConfig = DEFAULT_CONFIG,
-    with_details: bool = False,
-):
+) -> float:
     """Largest resourcefulness of N(Psi Psi^dag) over unit-norm amplitude
     matrices Psi, by the channel search ``channels._channel_search``."""
     check_alpha(alpha)
@@ -233,4 +223,4 @@ def r_alpha_channel(
         state = BipartiteState(out_dims, herm_part(channel.apply(psi @ psi.conj().T)))
         return r_alpha(state, pmap, alpha, inner_cfg).value_bits
 
-    return _channel_search(channel, measure, cfg, with_details)
+    return _channel_search(channel, measure, cfg, with_details=False)

@@ -62,20 +62,20 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .divergence import check_alpha, log_negativity
+from .divergence import _free_abs, check_alpha, log_negativity
 from .errors import NotConvergedError, NotPositiveDefiniteError
 from .linalg import (
-    BipartitionDims,
     _conjugated_choi,
     _permutation_of,
     _power_gradient_from_eig,
+    _pt,
     check_hermitian,
     frob_norm,
     herm_part,
     op_norm,
     partial_transpose,
 )
-from .pptgeom import DykstraConfig, project_free_set
+from .pptgeom import project_free_set
 from .states import BipartiteState, as_state
 
 # Bound here only for the benchmark tracer, which wraps ``check_hermitian`` at
@@ -99,7 +99,8 @@ class SolverConfig:
             raise ValueError(f"value_tol must be finite and positive, got {self.value_tol}")
         for name, least in (("max_iter", 1), ("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not (integral and value >= least):
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value}")
 
 
@@ -184,23 +185,10 @@ _ARMIJO_DECREASE = 1e-4
 _EPS_INITIAL = 1e-4
 _EPS_DECAY = 0.7
 _EPS_FLOOR = 1e-10
-# Dykstra budget per projection; looser than ``project_ppt``'s default,
-# because a stalled projection is absorbed by the interior mixing.
-_PG_PROJECTION = DykstraConfig(max_cycles=1500, residual_tol=1e-9)
-
-
-def _start_candidates(X: np.ndarray, apply_map, D: int) -> list[np.ndarray]:
-    """Feasible starting points: the maximally mixed state, plus |X|/||X||_1
-    whenever it lies in the free set (exact optimizer for the collapse class)."""
-    candidates = [np.eye(D, dtype=complex) / D]
-    w, v = np.linalg.eigh(X)
-    absx = (v * np.abs(w)) @ v.conj().T
-    n1 = float(np.abs(w).sum())
-    if n1 > 0:
-        cand = herm_part(absx / n1)
-        if float(np.linalg.eigvalsh(apply_map(cand))[0]) >= -1e-11:
-            candidates.append(cand)
-    return candidates
+# Dykstra budget per projection; looser than ``project_ppt``'s, because a
+# stalled projection is absorbed by the interior mixing.
+_PG_MAX_CYCLES = 1500
+_PG_RESIDUAL_TOL = 1e-9
 
 
 def _pg_core(
@@ -225,14 +213,16 @@ def _pg_core(
 
     The descent stops, converged, when the best upper value comes within
     ``_CERTIFIED_GAP`` bits of ``lower``: the value is then certified to that
-    gap.  This is tested where the loop decides after its projection, at a
-    stationary point, at a failed line search and after an accepted step, so
-    every call runs at least one projection.  On most collapse-class
-    inputs, where |X| / ||X||_1 is free, it fires at the first steps.
-    Otherwise the descent stops, converged, at a stationary point or a
-    failed line search once the smoothing weight sits at its floor, or after
-    25 accepted steps there that change the value by at most 1e-9 relative;
-    an exhausted budget returns unconverged.
+    gap.  This is tested where the loop decides after its projection: at its
+    one no-progress exit (a stationary point or a failed line search) and
+    after an accepted step, so every call runs at least one projection.  The
+    descent starts from the better of the maximally mixed state and
+    ``divergence._free_abs``'s |X| / ||X||_1 when that is free; on most such
+    collapse-class inputs the stop fires at the first steps.  Otherwise the
+    descent stops, converged, at the no-progress exit once the smoothing
+    weight sits at its floor, or after 25 accepted steps there that change
+    the value by at most 1e-9 relative; an exhausted budget returns
+    unconverged.
 
     Returns (value_bits, best interior sigma, iterations, converged).
     """
@@ -252,7 +242,7 @@ def _pg_core(
         # a stalled projection is still near-feasible; the defect-aware
         # regularization absorbs the residual
         try:
-            return project_free_set(m, apply_map, _PG_PROJECTION)
+            return project_free_set(m, apply_map, _PG_MAX_CYCLES, _PG_RESIDUAL_TOL)
         except NotConvergedError as exc:
             return exc.iterate
 
@@ -269,7 +259,10 @@ def _pg_core(
     best = None
     sigma = None
     sigma_defect = 0.0
-    for cand in _start_candidates(X, apply_map, D):
+    # the maximally mixed state, and |X| / ||X||_1 when it is free
+    for cand in (eye_over_d, _free_abs(X, apply_map)):
+        if cand is None:
+            continue
         cand_defect = defect_of(cand)
         val = eval_log(cand, eps, cand_defect, want_grad=False)
         if best is None or val < best[0]:
@@ -316,30 +309,24 @@ def _pg_core(
         segment_defect = max(sigma_defect, target_defect)
 
         at_floor = eps <= _EPS_FLOOR * (1 + 1e-12)
-        if dir_norm / max(step_scale, 1e-30) <= _GRAD_TOL:
+        accepted = False
+        # written so that a NaN ratio runs the line search
+        if not (dir_norm / max(step_scale, 1e-30) <= _GRAD_TOL):
+            slope = float(np.real(np.sum(grad.conj() * direction)))
+            t = 1.0
+            while t > 1e-13:
+                cand = sigma + t * direction
+                cand_log = eval_log(cand, eps, segment_defect, want_grad=False)
+                if cand_log <= log_f + _ARMIJO_DECREASE * t * slope:
+                    accepted = True
+                    break
+                t *= _ARMIJO_SHRINK
+        if not accepted:
+            # stationary, or no descent direction at numerical precision
             if at_floor or certified():
                 converged = True
                 break
-            eps = _EPS_FLOOR  # stationary at this smoothing level; finish at the floor
-            streak = 0
-            prev_log = math.inf
-            continue
-
-        slope = float(np.real(np.sum(grad.conj() * direction)))
-        t = 1.0
-        accepted = False
-        while t > 1e-13:
-            cand = sigma + t * direction
-            cand_log = eval_log(cand, eps, segment_defect, want_grad=False)
-            if cand_log <= log_f + _ARMIJO_DECREASE * t * slope:
-                accepted = True
-                break
-            t *= _ARMIJO_SHRINK
-        if not accepted:
-            if at_floor or certified():
-                converged = True  # no descent direction at numerical precision
-                break
-            eps = _EPS_FLOOR
+            eps = _EPS_FLOOR  # finish at the smoothing floor
             streak = 0
             prev_log = math.inf
             continue
@@ -553,10 +540,6 @@ def _kappa_core(
 
 # ---------------------------------------------------------------------------
 # public measures
-
-
-def _pt(dims: BipartitionDims) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda m: partial_transpose(m, dims, "B")
 
 
 def e_kappa(rho, cfg: SolverConfig = DEFAULT_CONFIG) -> MeasureResult:

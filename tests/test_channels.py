@@ -131,6 +131,14 @@ class TestChoi:
         with pytest.raises(ValueError, match="superoperator entries must be finite"):
             SuperOperator(m, 2, 2)
 
+    @pytest.mark.parametrize("side", ["in", "out"])
+    def test_superoperator_rejects_a_bipartition_of_another_dimension(self, side):
+        # accepted, it would send every r_alpha_channel input to the search
+        # penalty and fail is_cpptp with a shape error inside the transpose
+        bipartition = {f"bipartition_{side}": BipartitionDims(2, 3)}
+        with pytest.raises(ValueError, match=f"{side}put bipartition 2x3 does not match dimension 4"):
+            kraus_channel([np.eye(4)], 4, 4, **bipartition)
+
     def test_kraus_entries_that_overflow_are_rejected_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -183,6 +183,15 @@ def test_only_the_werner_holevo_family_is_known(capsys, family):
     assert captured.err == f"error: unknown channel family {name!r}\n"
 
 
+@pytest.mark.parametrize("alpha", ["0.5", "nan"])
+def test_channel_family_rejects_an_invalid_order(capsys, alpha):
+    assert main(["channel", "--family", "wh:1,2", "--alpha", alpha]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_project_leaves_a_ppt_state_in_place(ppt_state, tmp_path):
     out = tmp_path / "projected.json"
     assert main(["project", str(ppt_state), "--out", str(out)]) == EXIT_OK

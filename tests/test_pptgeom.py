@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from alphaneg.errors import NotConvergedError
-from alphaneg.linalg import BipartitionDims, partial_transpose
+from alphaneg.linalg import BipartitionDims, _pt, partial_transpose
 from alphaneg.pptgeom import (
-    DykstraConfig,
     interior_point,
+    project_free_set,
     project_ppt,
     regularize,
 )
@@ -94,9 +94,8 @@ class TestProjectPpt:
         assert np.linalg.norm(twice - once) < 1e-8
 
     def test_not_converged_carries_iterate(self):
-        cfg = DykstraConfig(max_cycles=1, residual_tol=1e-16)
         with pytest.raises(NotConvergedError) as err:
-            project_ppt(max_entangled(2).matrix, DIMS22, cfg)
+            project_free_set(max_entangled(2).matrix, _pt(DIMS22), 1, 1e-16)
         assert err.value.iterate is not None
         assert err.value.residual > 0
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from alphaneg.divergence import binegativity_psd, log_negativity, mu_alpha
 from alphaneg.errors import NotPositiveDefiniteError
-from alphaneg.linalg import BipartitionDims, partial_transpose, schatten_norm
+from alphaneg.linalg import BipartitionDims, _pt, partial_transpose, schatten_norm
 from alphaneg import solver
 from alphaneg.pptgeom import regularize
 from alphaneg.solver import (
@@ -366,7 +366,7 @@ class TestBracket:
         r = e_alpha(rho, 2.0, FAST)
         assert math.isinf(r.bracket[1])
         X = partial_transpose(rho.matrix, rho.dims, "B")
-        lo, hi = bracket(r, X, solver._pt(rho.dims), log_negativity(rho), DEFAULT_CONFIG)
+        lo, hi = bracket(r, X, _pt(rho.dims), log_negativity(rho), DEFAULT_CONFIG)
         assert r.bracket == (lo, hi)
         assert np.isfinite(hi)
 
@@ -454,6 +454,9 @@ class TestConfigValidation:
             ("restarts", 1.5),
             ("seed", 1.5),
             ("seed", -1),
+            ("max_iter", True),
+            ("restarts", True),
+            ("seed", False),
         ],
     )
     def test_rejects_invalid_fields(self, field, value):
