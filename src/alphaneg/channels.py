@@ -19,7 +19,9 @@ unit-norm amplitude matrices Psi for both channel measures:
 ``channel_e_alpha`` measures the output (Psi (x) I) J_N (Psi (x) I)^dag of
 the pure input with reference, ``channel_output_state``, and
 ``resource.r_alpha_channel`` measures N applied to the input state
-Psi Psi^dag / ||Psi||^2.
+Psi Psi^dag / ||Psi||^2.  ``scipy.optimize`` loads on the first search, not
+with the package: the state measures never use it.  ``optimize`` is the one
+name through which the search reaches ``minimize``.
 
 A channel's JSON format: {"kind": "kraus" | "superop", "dims_in": [...],
 "dims_out": [...], "data": ...} with the same [re, im] entry pairs as the
@@ -35,7 +37,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .divergence import check_alpha
 from .errors import InvalidStateError, OutOfDomainError
@@ -52,6 +53,19 @@ from .states import BipartiteState, _pairs_to_matrix, _positive_ints, as_state, 
 
 _PROB_CUTOFF = 1e-8
 _CHOI_TOL = 1e-9  # relative to max(1, ||J||), except for trace preservation
+
+
+class _LazyOptimize:
+    """Stands in for ``scipy.optimize`` and imports it on first attribute
+    access."""
+
+    def __getattr__(self, name):
+        from scipy import optimize as module
+
+        return getattr(module, name)
+
+
+optimize = _LazyOptimize()
 
 
 def _parse_dims(spec) -> tuple[int, BipartitionDims | None]:

@@ -7,10 +7,12 @@ module owns the conventions:
   matching ``numpy.kron``;
 * Hermitian inputs are symmetrized to (H + H^dag)/2 once the Hermiticity
   tolerance has passed, so spectral code never sees asymmetry noise.  The
-  tolerance is stated in operator norms; ``check_hermitian`` first tries a
-  Frobenius-norm bound that implies it, which every exactly Hermitian matrix
-  (such as the iterates of the projections) passes, and gives only the rest
-  the two SVDs, so it accepts exactly what the SVD test accepts;
+  tolerance is stated in operator norms.  ``check_hermitian`` decides in up
+  to three stages: an exactly Hermitian matrix of moderate norm (such as the
+  iterates of the projections) passes one entrywise comparison, the rest
+  meet a Frobenius-norm bound that implies the rule, and only what that
+  bound cannot decide gets the two SVDs, so it accepts exactly what the SVD
+  test accepts;
 * ``matrix_power_support`` makes the one support decision: eigenvalues at or
   below ``tol * lambda_max`` count as zero, so sigma^0 is the support
   projector, which the support inclusion test ``support_leq`` reads too.
@@ -78,28 +80,41 @@ def check_hermitian(M: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate Hermiticity within ``tol`` (relative to the operator norm) and
     return the symmetrized matrix.
 
-    The rule is ``||A||_2 <= tol * max(||M||_2, 1e-300)`` with A = M - M^dag.
-    Since ``||A||_2 <= ||A||_F`` and ``||M||_2 >= ||M||_F / sqrt(n)``, the
-    matrix is accepted at once when ``||A||_F <= tol * ||M||_F / sqrt(n)``,
-    with that bound finite and at least ``_PRETEST_MIN_BOUND`` (below it the
-    squares of A's entries can underflow to zero) and a margin for rounding.
-    Every other matrix gets the two-SVD test, so the accepted set, the error
-    and the returned bits are those of the SVD test alone.  Non-finite
-    entries make ``||M||_F`` inf or NaN and are rejected before either stage,
-    and a NaN norm (M - M^dag overflowing) fails the SVD test.  A Frobenius
-    norm overflows to inf once an entry passes about 1e154, which both stages
-    read as intended, so numpy's overflow warning is silenced.  When the
-    largest real or imaginary part exceeds 2**512, both stages run on
-    M * 2**-e, with e its binary exponent: the scaling is exact and the rule
-    is relative, so the decision is unchanged, where the unscaled SVD could
-    overflow to inf and accept.  The returned matrix is herm_part(M), halved
-    before the sum on that rescaled path so that it stays finite.
+    The rule is ``||A||_2 <= tol * max(||M||_2, 1e-300)`` with A = M - M^dag,
+    decided in three stages that accept exactly what the last one alone would.
+
+    1. A matrix equal to M^dag entry for entry (compared by value, so NaN
+       fails and -0.0 equals 0.0) with ``||M||_F`` at most 2**512 has A = 0,
+       which every ``tol >= 0`` accepts; it is accepted at once.
+    2. Since ``||A||_2 <= ||A||_F`` and ``||M||_2 >= ||M||_F / sqrt(n)``, the
+       matrix is accepted when ``||A||_F <= tol * ||M||_F / sqrt(n)``, with
+       that bound finite and at least ``_PRETEST_MIN_BOUND`` (below it the
+       squares of A's entries can underflow to zero) and a margin for
+       rounding.
+    3. Every other matrix gets the two-SVD test, so the accepted set, the
+       error and the returned bits are those of the SVD test alone.
+
+    Non-finite entries make ``||M||_F`` inf or NaN and are rejected before
+    stage 2, and a NaN norm (M - M^dag overflowing) fails the SVD test.  A
+    Frobenius norm overflows to inf once an entry passes about 1e154, which
+    every stage reads as intended, so numpy's overflow warning is silenced.
+    When the largest real or imaginary part exceeds 2**512, stages 2 and 3
+    run on M * 2**-e, with e its binary exponent: the scaling is exact and
+    the rule is relative, so the decision is unchanged, where the unscaled
+    SVD could overflow to inf and accept.  The returned matrix is
+    herm_part(M), halved before the sum on that rescaled path so that it
+    stays finite.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NonHermitianError(f"expected a square matrix, got shape {M.shape}")
     with np.errstate(over="ignore"):
-        T, fro = M, frob_norm(M)
+        fro = frob_norm(M)
+        if fro <= _RESCALE_ABOVE and tol >= 0:
+            adj = M.conj().T
+            if (M == adj).all():
+                return (M + adj) / 2  # herm_part(M), sharing the one M^dag
+        T = M
         if not fro <= _RESCALE_ABOVE:  # ||M||_F bounds every entry, and may be inf
             if not np.isfinite(M).all():
                 raise NonHermitianError("matrix has non-finite entries")
@@ -272,9 +287,14 @@ def support_leq(X: np.ndarray, sigma: np.ndarray) -> bool:
 
 
 def psd_project(H: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest positive semi-definite matrix (eigenvalue clipping)."""
-    w, v = hermitian_eig(H)
-    return herm_part((v * np.clip(w, 0.0, None)) @ v.conj().T)
+    """Frobenius-nearest positive semi-definite matrix (eigenvalue clipping).
+
+    H passes ``check_hermitian`` first, so an exactly Hermitian iterate costs
+    one entrywise comparison before the eigendecomposition.
+    """
+    w, v = np.linalg.eigh(check_hermitian(H))
+    P = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return (P + P.conj().T) / 2
 
 
 def _power_gradient_from_eig(

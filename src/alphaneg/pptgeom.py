@@ -42,30 +42,30 @@ def project_free_set(
 
     ``apply_map`` must be a Hermiticity-preserving Frobenius-isometric
     involution (the partial transpose is the canonical case).  The budget is
-    ``max_cycles`` Dykstra cycles, each one pass over the three projections;
-    the projection returns once a cycle moves the iterate by less than
-    ``residual_tol`` in Frobenius norm.  Raises NotConvergedError carrying the
-    last iterate when no cycle within the budget does.
+    ``max_cycles`` Dykstra cycles.  Each cycle projects onto the PSD cone,
+    onto the map's cone as map . psd_project . map, and onto the unit-trace
+    hyperplane, in that order, each step with its own correction; so every
+    cycle calls ``psd_project`` exactly twice.  The projection returns once a
+    cycle moves the iterate by less than ``residual_tol`` in Frobenius norm.
+    Raises NotConvergedError carrying the last iterate when no cycle within
+    the budget does.
     """
     x = check_hermitian(M)
-    d = x.shape[0]
-    eye_over_d = np.eye(d) / d
-
-    def proj_map_psd(y):
-        return apply_map(psd_project(apply_map(y)))
-
-    def proj_trace(y):
-        return y + (1.0 - np.trace(y).real) * eye_over_d
-
-    projections = (psd_project, proj_map_psd, proj_trace)
-    corrections = [np.zeros_like(x) for _ in projections]
+    eye_over_d = np.eye(x.shape[0]) / x.shape[0]
+    # the corrections of the PSD, map-cone and trace steps
+    c_psd = c_map = c_trace = np.zeros_like(x)
 
     for _ in range(max_cycles):
         start = x
-        for i, proj in enumerate(projections):
-            shifted = x + corrections[i]
-            x = proj(shifted)
-            corrections[i] = shifted - x
+        shifted = x + c_psd
+        x = psd_project(shifted)
+        c_psd = shifted - x
+        shifted = x + c_map
+        x = apply_map(psd_project(apply_map(shifted)))
+        c_map = shifted - x
+        shifted = x + c_trace
+        x = shifted + (1.0 - np.trace(shifted).real) * eye_over_d
+        c_trace = shifted - x
         residual = frob_norm(x - start)
         if residual < residual_tol:
             return x

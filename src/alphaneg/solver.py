@@ -95,8 +95,11 @@ class SolverConfig:
 
     def __post_init__(self):
         # written so that NaN fails each check
-        if not (math.isfinite(self.value_tol) and self.value_tol > 0):
-            raise ValueError(f"value_tol must be finite and positive, got {self.value_tol}")
+        tol = self.value_tol
+        if isinstance(tol, (bool, np.bool_)) or not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"value_tol must be finite and positive, got {tol}")
+        if not isinstance(self.with_bracket, (bool, np.bool_)):
+            raise ValueError(f"with_bracket must be a bool, got {self.with_bracket!r}")
         for name, least in (("max_iter", 1), ("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
             integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)

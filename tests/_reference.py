@@ -5,7 +5,8 @@ from typing import Sequence
 
 import numpy as np
 
-from alphaneg.errors import NotPositiveDefiniteError
+from alphaneg.errors import NonHermitianError, NotPositiveDefiniteError
+from alphaneg.linalg import HERMITICITY_TOL, frob_norm, herm_part, op_norm
 
 
 def subsystem_transpose(M: np.ndarray, dims: Sequence[int], which: Sequence[int]) -> np.ndarray:
@@ -67,3 +68,40 @@ def weighted_norm(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
     half = _pd_power(sigma, 0.0 if math.isinf(p) else 1.0 / (2 * p))
     mags = np.abs(np.linalg.eigvalsh(half @ X @ half))
     return float(mags.max() if math.isinf(p) else np.sum(mags**p) ** (1.0 / p))
+
+
+# The Hermiticity guard before its exact first stage: a Frobenius pre-test,
+# then the two-SVD rule, with the constants it was written with.
+_PRETEST_MIN_BOUND = 1e-100
+_PRETEST_MARGIN = 1 - 1e-12
+_RESCALE_ABOVE = 2.0**512
+
+
+def two_stage_check_hermitian(M: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """``linalg.check_hermitian`` as two stages: accept when
+    ``||M - M^dag||_F <= tol * ||M||_F / sqrt(n)`` (with a floor and a
+    rounding margin), else decide by ``||A||_2 <= tol * max(||M||_2, 1e-300)``;
+    M is rescaled by a power of two when an entry passes 2**512."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise NonHermitianError(f"expected a square matrix, got shape {M.shape}")
+    with np.errstate(over="ignore"):
+        T, fro = M, frob_norm(M)
+        if not fro <= _RESCALE_ABOVE:  # ||M||_F bounds every entry, and may be inf
+            if not np.isfinite(M).all():
+                raise NonHermitianError("matrix has non-finite entries")
+            peak = max(float(np.abs(M.real).max()), float(np.abs(M.imag).max()))
+            if peak > _RESCALE_ABOVE:
+                T = M * 2.0 ** -math.frexp(peak)[1]
+                fro = frob_norm(T)
+        A = T - T.conj().T
+        bound = tol * fro / math.sqrt(max(T.shape[0], 1))
+        # written so that a NaN or infinite bound falls through to the SVD test
+        passed = _PRETEST_MIN_BOUND <= bound < math.inf and frob_norm(A) <= _PRETEST_MARGIN * bound
+    if not passed and not op_norm(A) <= tol * max(op_norm(T), 1e-300):
+        raise NonHermitianError(
+            f"matrix is not Hermitian within tolerance {tol:g}"
+        )
+    if T is M:
+        return herm_part(M)
+    return M / 2 + M.conj().T / 2  # halved first: M + M^dag can overflow up here

@@ -1,11 +1,13 @@
 """The package has one channel search: ``minimize`` is called only in
-``channels._channel_search``, and only ``channels`` imports ``scipy.optimize``.
+``channels._channel_search``, and only ``channels`` imports ``scipy.optimize``,
+inside a function body, so that ``import alphaneg`` does not load it.
 
 A stand-in for a lint step, next to ``test_not_converged_lint.py``: each
 ``src/alphaneg/*.py`` is parsed with ``ast``.  The benchmark's tracer sees a
 search only through ``channels.optimize``, so a second search elsewhere would
 run untraced.  A site is named by its module and its outermost enclosing
-function.
+function.  A class body runs when its module is imported, so an import there
+counts as a module-level one; a method body does not.
 """
 
 import ast
@@ -17,8 +19,9 @@ IMPORT_MODULE = "channels"
 
 
 def _sites(tree: ast.Module) -> tuple[list, list]:
-    """(``minimize`` calls as (function, line), ``scipy.optimize`` import
-    lines); the function is the outermost enclosing one, or None."""
+    """(``minimize`` calls as (function, line), ``scipy.optimize`` imports as
+    (function, line)); the function is the outermost enclosing one, or None
+    at module level."""
     calls, imports = [], []
 
     def visit(node, outer):
@@ -36,7 +39,7 @@ def _sites(tree: ast.Module) -> tuple[list, list]:
         else:
             names = []
         if any(f"{n}.".startswith("scipy.optimize.") for n in names):
-            imports.append(node.lineno)
+            imports.append((outer, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, outer)
 
@@ -51,11 +54,11 @@ def _violations(module: str, tree: ast.Module) -> list[str]:
         for func, line in calls
         if (module, func) != SEARCH_SITE
     ]
-    found += [
-        f"{module}.py:{line} imports scipy.optimize"
-        for line in imports
-        if module != IMPORT_MODULE
-    ]
+    for func, line in imports:
+        if module != IMPORT_MODULE:
+            found.append(f"{module}.py:{line} imports scipy.optimize")
+        elif func is None:
+            found.append(f"{module}.py:{line} imports scipy.optimize at module level")
     return found
 
 
@@ -69,6 +72,9 @@ def test_one_search_calls_minimize():
         searches += [(path.stem, func) for func, _ in _sites(tree)[0]]
     assert not found, "; ".join(found)
     assert searches == [SEARCH_SITE]
+    channels = SRC / f"{IMPORT_MODULE}.py"
+    imports = _sites(ast.parse(channels.read_text(encoding="utf-8")))[1]
+    assert len(imports) == 1
 
 
 def test_checker_flags_searches_and_imports_outside_channels():
@@ -90,6 +96,10 @@ def test_checker_flags_searches_and_imports_outside_channels():
     assert _violations("channels", tree) == [
         "channels.py:11 calls minimize",
         "channels.py:12 calls minimize",
+        "channels.py:1 imports scipy.optimize at module level",
+        "channels.py:2 imports scipy.optimize at module level",
+        "channels.py:3 imports scipy.optimize at module level",
+        "channels.py:4 imports scipy.optimize at module level",
     ]
     assert _violations("resource", tree) == [
         "resource.py:8 calls minimize",
@@ -100,4 +110,25 @@ def test_checker_flags_searches_and_imports_outside_channels():
         "resource.py:2 imports scipy.optimize",
         "resource.py:3 imports scipy.optimize",
         "resource.py:4 imports scipy.optimize",
+    ]
+
+
+def test_checker_flags_module_level_imports_in_channels():
+    source = (
+        "from scipy import optimize\n"
+        "if True:\n"
+        "    import scipy.optimize\n"
+        "class _Lazy:\n"
+        "    from scipy import optimize\n"
+        "    def __getattr__(self, name):\n"
+        "        from scipy import optimize as module\n"
+        "        return getattr(module, name)\n"
+        "def _channel_search():\n"
+        "    import scipy.optimize\n"
+        "    return scipy.optimize.minimize(None)\n"
+    )
+    assert _violations("channels", ast.parse(source)) == [
+        "channels.py:1 imports scipy.optimize at module level",
+        "channels.py:3 imports scipy.optimize at module level",
+        "channels.py:5 imports scipy.optimize at module level",
     ]

@@ -1,13 +1,17 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphaneg import channels
 from alphaneg.channels import (
     Instrument,
     SuperOperator,
@@ -431,6 +435,45 @@ class TestWernerHolevo:
             werner_holevo_value(1.2, 2)
         with pytest.raises(OutOfDomainError):
             werner_holevo_channel(0.5, 1)
+
+
+# Run in a fresh interpreter: the state measures and the CLI leave
+# scipy.optimize unloaded, and the first channel search loads it.
+FOOTPRINT_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+import alphaneg
+import alphaneg.cli
+from alphaneg import channels
+from alphaneg.solver import SolverConfig
+print("scipy.optimize" in sys.modules)
+value = channels.channel_e_alpha(
+    channels.werner_holevo_channel(1.0, 2), 1.0, SolverConfig(restarts=2)
+)
+print("scipy.optimize" in sys.modules)
+print(value.hex())
+"""
+
+
+class TestOptimizerLoading:
+    def test_import_leaves_scipy_optimize_unloaded_until_a_search(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT_PROBE.format(src=str(src))],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        before, after, value = proc.stdout.split()
+        assert (before, after) == ("False", "True")
+        # the tolerance `repro werner-holevo` checks against
+        assert abs(float.fromhex(value) - werner_holevo_value(1.0, 2)) <= 5e-3
+
+    def test_minimize_resolves_through_the_module_attribute(self):
+        from scipy import optimize
+
+        assert channels.optimize.minimize is optimize.minimize
 
 
 class TestChannelJson:

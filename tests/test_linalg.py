@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from alphaneg.linalg import (
 )
 from alphaneg.states import max_entangled
 
-from _reference import subsystem_transpose
+from _reference import subsystem_transpose, two_stage_check_hermitian
 from conftest import random_hermitian, random_pd, random_psd
 
 DIMS22 = BipartitionDims(2, 2)
@@ -216,7 +217,55 @@ def _anti_hermitian_near_float_limit(n, seed):
     return np.eye(n) + k * (8.5e307 / np.abs(k).max())
 
 
+# Values injected into a mirrored pair of entries of a Hermitian matrix:
+# signed zeros, entries below 1e-100 and above 2**512, and non-finite ones.
+_GUARD_SPECIALS = (0.0, -0.0, 1e-101, 1e-200, 5e-324, 2.0**513, -1e300, 1.7e308, math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def guard_inputs(draw):
+    """A scaled Hermitian matrix with special real and imaginary parts
+    injected at mirrored entries (the mirror's zeros may flip sign), then
+    possibly one entry perturbed off Hermiticity."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.0, 1e-300, 1e-120, 1.0, 1e150, 1e300]))
+    m = scale * herm_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    index = st.integers(0, n - 1)
+    part = st.one_of(st.none(), st.sampled_from(_GUARD_SPECIALS))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(index), draw(index)
+        re, im = draw(part), draw(part)
+        re = m[i, j].real if re is None else re
+        im = m[i, j].imag if im is None else im
+        flip_re, flip_im = draw(st.booleans()), draw(st.booleans())
+        m[j, i] = complex(-re if flip_re and re == 0 else re, im if flip_im and im == 0 else -im)
+        m[i, j] = complex(re, im)
+    eps = draw(st.sampled_from([0.0, 0.0, 1e-300, 1e-16, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6]))
+    if eps:
+        i, j = draw(index), draw(index)
+        m[i, j] += eps * (scale or 1.0) * complex(draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([0.0, 1.0])))
+    return m
+
+
+def _guard_outcome(guard, m, tol):
+    """("accepted", returned bytes), or the raised type and message, with
+    every warning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return "accepted", guard(m.copy(), tol).tobytes()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
 class TestCheckHermitian:
+    @settings(max_examples=600, deadline=None)
+    @given(m=guard_inputs(), tol=st.sampled_from([HERMITICITY_TOL, 1e-6, 0.0, -1e-9, math.nan]))
+    def test_matches_the_two_stage_guard(self, m, tol):
+        # the exact first stage changes no decision, error or returned bit
+        assert _guard_outcome(check_hermitian, m, tol) == _guard_outcome(two_stage_check_hermitian, m, tol)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=400, deadline=None)
     @given(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from alphaneg import pptgeom
 from alphaneg.errors import NotConvergedError
 from alphaneg.linalg import BipartitionDims, _pt, partial_transpose
 from alphaneg.pptgeom import (
@@ -98,6 +99,37 @@ class TestProjectPpt:
             project_free_set(max_entangled(2).matrix, _pt(DIMS22), 1, 1e-16)
         assert err.value.iterate is not None
         assert err.value.residual > 0
+
+
+class TestDykstraCycles:
+    """Each Dykstra cycle calls the ``pptgeom.psd_project`` binding exactly
+    twice; the benchmark's tracer counts cycles as those calls over two."""
+
+    @pytest.fixture
+    def psd_calls(self, monkeypatch):
+        calls = []
+        original = pptgeom.psd_project
+
+        def counted(h):
+            calls.append(h.shape)
+            return original(h)
+
+        monkeypatch.setattr(pptgeom, "psd_project", counted)
+        return calls
+
+    def test_stalled_run(self, psd_calls):
+        with pytest.raises(NotConvergedError):
+            project_free_set(max_entangled(2).matrix, _pt(DIMS22), 3, 1e-16)
+        assert len(psd_calls) == 6
+
+    def test_converging_run(self, psd_calls):
+        phi = max_entangled(2).matrix
+        project_free_set(phi, _pt(DIMS22), 10_000, 1e-10)
+        cycles, odd = divmod(len(psd_calls), 2)
+        assert cycles > 1 and odd == 0
+        # the count is that of the cycles: one cycle fewer does not converge
+        with pytest.raises(NotConvergedError):
+            project_free_set(phi, _pt(DIMS22), cycles - 1, 1e-10)
 
 
 class TestInteriorPoint:

@@ -457,6 +457,11 @@ class TestConfigValidation:
             ("max_iter", True),
             ("restarts", True),
             ("seed", False),
+            ("value_tol", True),
+            ("value_tol", np.True_),
+            ("with_bracket", "no"),
+            ("with_bracket", 1),
+            ("with_bracket", None),
         ],
     )
     def test_rejects_invalid_fields(self, field, value):
@@ -467,6 +472,10 @@ class TestConfigValidation:
         for make in (int, np.int64, np.uint8):
             cfg = SolverConfig(max_iter=make(7), restarts=make(2), seed=make(0))
             assert (cfg.max_iter, cfg.restarts, cfg.seed) == (7, 2, 0)
+
+    def test_accepts_python_and_numpy_bools(self):
+        for flag in (False, np.False_, np.True_):
+            assert SolverConfig(with_bracket=flag).with_bracket == flag
 
     def test_settable_values(self):
         names = [f.name for f in dataclasses.fields(SolverConfig)]
