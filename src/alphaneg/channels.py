@@ -8,12 +8,12 @@ reference factor first.  The composite index is the row-major one used
 everywhere else in the package.
 
 One free-operation test, ``_cp_slack``, serves ``is_cpptp`` and
-``is_cpptp_instrument`` (with the partial transposes),
-``resource._check_free_operation`` (with any positive map), and the complete
-positivity of ``Instrument`` elements and searched channels (with the
-identity); one trace-preservation test, ``_tp_defect``, serves
-``choi_is_tp`` and ``Instrument``.  Every Choi-matrix test reads the one
-``_CHOI_TOL``.
+``is_cpptp_instrument`` (with the partial transposes) and
+``resource._check_free_operation`` (with any positive map); ``_is_cp``
+tests the complete positivity of N itself, on its one Choi matrix, for
+``is_cpptp``, ``Instrument`` elements and searched channels.  One
+trace-preservation test, ``_tp_defect``, serves ``choi_is_tp`` and
+``Instrument``.  Every Choi-matrix test reads the one ``_CHOI_TOL``.
 One seeded multi-start Nelder-Mead search, ``_channel_search``, runs over
 unit-norm amplitude matrices Psi for both channel measures:
 ``channel_e_alpha`` measures the output (Psi (x) I) J_N (Psi (x) I)^dag of
@@ -156,17 +156,16 @@ def choi_is_tp(channel: SuperOperator) -> bool:
 
 
 def _cp_slack(channel: SuperOperator, p_in, p_out) -> float:
-    """Smallest eigenvalue of the Choi matrices of N and of P_out . N . P_in,
-    relative to max(1, ||J_N||): both maps count as CP when it is at least
-    -``_CHOI_TOL``.  P_in and P_out are trusted on Hermitian inputs only."""
-    J = choi_of(channel)
+    """Smallest eigenvalue of the Choi matrix of P_out . N . P_in, relative to
+    max(1, ||J_N||): the map counts as CP when it is at least -``_CHOI_TOL``.
+    P_in and P_out are trusted on Hermitian inputs only."""
     J_conj = _conjugated_choi(channel.apply, p_in, p_out, channel.dim_in)
-    lam = min(float(np.linalg.eigvalsh(herm_part(M))[0]) for M in (J, J_conj))
-    return lam / max(1.0, op_norm(J))
+    return float(np.linalg.eigvalsh(herm_part(J_conj))[0]) / max(1.0, op_norm(choi_of(channel)))
 
 
 def _is_cp(channel: SuperOperator) -> bool:
-    return _cp_slack(channel, lambda m: m, lambda m: m) >= -_CHOI_TOL
+    J = choi_of(channel)
+    return float(np.linalg.eigvalsh(herm_part(J))[0]) / max(1.0, op_norm(J)) >= -_CHOI_TOL
 
 
 def is_cpptp(channel: SuperOperator) -> bool:
@@ -178,7 +177,7 @@ def is_cpptp(channel: SuperOperator) -> bool:
     bin_, bout = channel.bipartition_in, channel.bipartition_out
     if bin_ is None or bout is None:
         raise ValueError("the PPT-preserving check needs bipartitions on both sides")
-    return _cp_slack(channel, _pt(bin_), _pt(bout)) >= -_CHOI_TOL
+    return _is_cp(channel) and _cp_slack(channel, _pt(bin_), _pt(bout)) >= -_CHOI_TOL
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,8 @@ class Instrument:
 
 
 def is_cpptp_instrument(instr: Instrument) -> bool:
-    """Each element CP with CP partial-transpose conjugate (the sum is TP)."""
+    """Each element's partial-transpose conjugate CP; ``Instrument`` has
+    already checked that each element is CP and that their sum is TP."""
     p_in, p_out = _pt(instr.dims_in), _pt(instr.dims_out)
     return all(_cp_slack(el, p_in, p_out) >= -_CHOI_TOL for el in instr.elements)
 

@@ -37,8 +37,8 @@ INF = math.inf
 
 
 def check_alpha(alpha: float) -> float:
-    """Validate an order parameter in [1, inf]."""
-    if not alpha >= 1:
+    """Validate an order parameter in [1, inf]; a bool is not an order."""
+    if isinstance(alpha, (bool, np.bool_)) or not alpha >= 1:
         raise AlphaOutOfRangeError(f"order parameter must satisfy alpha >= 1, got {alpha}")
     return float(alpha)
 

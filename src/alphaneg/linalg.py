@@ -7,12 +7,11 @@ module owns the conventions:
   matching ``numpy.kron``;
 * Hermitian inputs are symmetrized to (H + H^dag)/2 once the Hermiticity
   tolerance has passed, so spectral code never sees asymmetry noise.  The
-  tolerance is stated in operator norms.  ``check_hermitian`` decides in up
-  to three stages: an exactly Hermitian matrix of moderate norm (such as the
-  iterates of the projections) passes one entrywise comparison, the rest
-  meet a Frobenius-norm bound that implies the rule, and only what that
-  bound cannot decide gets the two SVDs, so it accepts exactly what the SVD
-  test accepts;
+  tolerance is stated in operator norms.  ``check_hermitian`` decides in two
+  stages: an exactly Hermitian matrix of moderate entries (such as the
+  iterates of the projections) passes one entrywise comparison, and every
+  other matrix gets the two SVDs, so it accepts exactly what the SVD test
+  accepts;
 * ``matrix_power_support`` makes the one support decision: eigenvalues at or
   below ``tol * lambda_max`` count as zero, so sigma^0 is the support
   projector, which the support inclusion test ``support_leq`` reads too.
@@ -34,11 +33,6 @@ from .errors import (
 
 SUPPORT_TOL = 1e-10
 HERMITICITY_TOL = 1e-9
-# Frobenius pre-test of check_hermitian: it needs a threshold large enough
-# that squaring the entries of M - M^dag cannot underflow unnoticed, and it
-# leaves a relative margin for the rounding of the two norm routines.
-_PRETEST_MIN_BOUND = 1e-100
-_PRETEST_MARGIN = 1 - 1e-12
 # Above this entry size check_hermitian tests M scaled by a power of two, since
 # LAPACK's SVD overflows on entries near the float limit.
 _RESCALE_ABOVE = 2.0**512
@@ -81,52 +75,41 @@ def check_hermitian(M: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return the symmetrized matrix.
 
     The rule is ``||A||_2 <= tol * max(||M||_2, 1e-300)`` with A = M - M^dag,
-    decided in three stages that accept exactly what the last one alone would.
+    decided in two stages that accept exactly what the second alone would.
+    Both read one value, the largest entry modulus of M, which is inf or NaN
+    when an entry is not finite.
 
     1. A matrix equal to M^dag entry for entry (compared by value, so NaN
-       fails and -0.0 equals 0.0) with ``||M||_F`` at most 2**512 has A = 0,
-       which every ``tol >= 0`` accepts; it is accepted at once.
-    2. Since ``||A||_2 <= ||A||_F`` and ``||M||_2 >= ||M||_F / sqrt(n)``, the
-       matrix is accepted when ``||A||_F <= tol * ||M||_F / sqrt(n)``, with
-       that bound finite and at least ``_PRETEST_MIN_BOUND`` (below it the
-       squares of A's entries can underflow to zero) and a margin for
-       rounding.
-    3. Every other matrix gets the two-SVD test, so the accepted set, the
+       fails and -0.0 equals 0.0) with every entry modulus at most 2**512
+       has A = 0, which every ``tol >= 0`` accepts; it is accepted at once.
+    2. Every other matrix gets the two-SVD test, so the accepted set, the
        error and the returned bits are those of the SVD test alone.
 
-    Non-finite entries make ``||M||_F`` inf or NaN and are rejected before
-    stage 2, and a NaN norm (M - M^dag overflowing) fails the SVD test.  A
-    Frobenius norm overflows to inf once an entry passes about 1e154, which
-    every stage reads as intended, so numpy's overflow warning is silenced.
-    When the largest real or imaginary part exceeds 2**512, stages 2 and 3
-    run on M * 2**-e, with e its binary exponent: the scaling is exact and
-    the rule is relative, so the decision is unchanged, where the unscaled
-    SVD could overflow to inf and accept.  The returned matrix is
-    herm_part(M), halved before the sum on that rescaled path so that it
-    stays finite.
+    An entry modulus above 2**512, or not a number, calls for the rest of
+    the checks: non-finite entries are rejected, and when the largest real
+    or imaginary part exceeds 2**512 the SVD test runs on M * 2**-e, with e
+    its binary exponent.  The scaling is exact and the rule is relative, so
+    the decision is unchanged, where the unscaled SVD could overflow to inf
+    and accept.  A NaN norm (M - M^dag overflowing) fails the SVD test.  The
+    returned matrix is herm_part(M), halved before the sum on that rescaled
+    path so that it stays finite.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NonHermitianError(f"expected a square matrix, got shape {M.shape}")
-    with np.errstate(over="ignore"):
-        fro = frob_norm(M)
-        if fro <= _RESCALE_ABOVE and tol >= 0:
-            adj = M.conj().T
-            if (M == adj).all():
-                return (M + adj) / 2  # herm_part(M), sharing the one M^dag
-        T = M
-        if not fro <= _RESCALE_ABOVE:  # ||M||_F bounds every entry, and may be inf
-            if not np.isfinite(M).all():
-                raise NonHermitianError("matrix has non-finite entries")
-            peak = max(float(np.abs(M.real).max()), float(np.abs(M.imag).max()))
-            if peak > _RESCALE_ABOVE:
-                T = M * 2.0 ** -math.frexp(peak)[1]
-                fro = frob_norm(T)
-        A = T - T.conj().T
-        bound = tol * fro / math.sqrt(max(T.shape[0], 1))
-        # written so that a NaN or infinite bound falls through to the SVD test
-        passed = _PRETEST_MIN_BOUND <= bound < math.inf and frob_norm(A) <= _PRETEST_MARGIN * bound
-    if not passed and not op_norm(A) <= tol * max(op_norm(T), 1e-300):
+    size = float(np.abs(M).max(initial=0.0))
+    if size <= _RESCALE_ABOVE and tol >= 0:
+        adj = M.conj().T
+        if (M == adj).all():
+            return (M + adj) / 2  # herm_part(M), sharing the one M^dag
+    T = M
+    if not size <= _RESCALE_ABOVE:  # also taken when size is NaN
+        if not np.isfinite(M).all():
+            raise NonHermitianError("matrix has non-finite entries")
+        peak = max(float(np.abs(M.real).max()), float(np.abs(M.imag).max()))
+        if peak > _RESCALE_ABOVE:
+            T = M * 2.0 ** -math.frexp(peak)[1]
+    if not op_norm(T - T.conj().T) <= tol * max(op_norm(T), 1e-300):
         raise NonHermitianError(
             f"matrix is not Hermitian within tolerance {tol:g}"
         )
@@ -243,7 +226,7 @@ def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def schatten_norm(M: np.ndarray, alpha: float) -> float:
     """Schatten norm (sum of singular values^alpha)^(1/alpha); alpha=inf gives
     the operator norm."""
-    if not alpha >= 1:
+    if isinstance(alpha, (bool, np.bool_)) or not alpha >= 1:
         raise AlphaOutOfRangeError(f"Schatten order must be >= 1, got {alpha}")
     s = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
     if np.isinf(alpha):

@@ -173,7 +173,8 @@ def _measure(
 
 
 def _check_free_operation(instr, pmap: PositiveMapSpec) -> None:
-    """Raise unless every element N and P . N . P are completely positive.
+    """Raise unless P . N . P is completely positive for every element N,
+    which ``Instrument`` has already found completely positive itself.
 
     Then N(sigma) >= 0 and P(N(sigma)) = (P . N . P)(P(sigma)) >= 0 for every
     free sigma: the instrument maps free states to free states.  For P = T_B

@@ -353,6 +353,8 @@ class TestOrderGuard:
     @settings(max_examples=25, deadline=None)
     @given(order=st.floats(max_value=1.0, exclude_max=True))
     @example(order=math.nan)
+    @example(order=True)
+    @example(order=np.True_)
     def test_rejects_nan_and_orders_below_one(self, name, order):
         with pytest.raises(AlphaOutOfRangeError):
             ORDER_TAKERS[name](order)

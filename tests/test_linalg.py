@@ -336,6 +336,22 @@ class TestCheckHermitian:
             with pytest.raises(NonHermitianError, match="not Hermitian within tolerance"):
                 check_hermitian(m)
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.zeros((0, 0), dtype=complex),
+            np.diag([-0.0, 1.0, 2.0**512]).astype(complex),
+            herm_part(np.arange(16).reshape(4, 4) * (1 + 2j)),
+        ],
+    )
+    def test_exact_matrices_compute_no_norm(self, m, monkeypatch):
+        def refuse(_):
+            raise AssertionError("an exactly Hermitian matrix needs no norm")
+
+        monkeypatch.setattr("alphaneg.linalg.frob_norm", refuse)
+        monkeypatch.setattr("alphaneg.linalg.op_norm", refuse)
+        assert check_hermitian(m).tobytes() == herm_part(m).tobytes()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
     @pytest.mark.parametrize("kernel", [check_hermitian, hermitian_eig, psd_project])
     def test_rejects_non_finite_entries(self, bad, kernel):
