@@ -127,6 +127,7 @@ def _measure(
     lower: float,
     alpha: float,
     cfg: SolverConfig,
+    start: np.ndarray | None = None,
 ) -> MeasureResult:
     """The measure of rho at a validated order, for a trusted map P.
 
@@ -134,7 +135,9 @@ def _measure(
     (P(rho) >= 0) short-circuits to zero; otherwise order 1 is closed form,
     order infinity the SDP, and the orders between run projected gradient,
     which stops, converged, once its upper value is within
-    ``solver._CERTIFIED_GAP`` bits of ``lower``.  ``solver.bracket`` fills in
+    ``solver._CERTIFIED_GAP`` bits of ``lower``; ``start``, an interior free
+    state, is projected gradient's third starting candidate (see
+    ``solver._pg_core``).  ``solver.bracket`` fills in
     and checks the bracket of a converged finite-order result, on this X;
     the SDP value is its own upper endpoint and only gets the check.  An
     exhausted budget is returned, not raised, with ``converged`` False and a
@@ -161,7 +164,7 @@ def _measure(
     if alpha == 1:
         result = MeasureResult(lower, 1.0, interior_point(rho.dims), 0, True, (lower, math.inf))
     else:
-        value, point, iters, ok = _pg_core(X, apply_map, alpha, cfg.max_iter, lower)
+        value, point, iters, ok = _pg_core(X, apply_map, alpha, cfg.max_iter, lower, start)
         result = MeasureResult(
             value, alpha, BipartiteState(rho.dims, point), iters, ok, (lower, math.inf)
         )

@@ -50,6 +50,10 @@ closed-form order-1 value, the loop stops as soon as its best upper value is
 within ``_CERTIFIED_GAP`` bits of it, which certifies the value to that gap.
 So projected gradient certifies most collapse-class inputs, two-qubit and
 Werner states among them, at their first steps instead of running to a stall.
+``alpha_sweep`` hands the loop a third starting point: the previous finite
+order's best point, which lies near the new optimum because the optimum
+moves continuously with the order.  The loop starts from whichever of the
+three evaluates lowest.
 """
 
 from __future__ import annotations
@@ -200,6 +204,7 @@ def _pg_core(
     alpha: float,
     max_iter: int,
     lower: float,
+    start: np.ndarray | None = None,
 ):
     """Projected gradient descent of f over the free set.
 
@@ -218,13 +223,22 @@ def _pg_core(
     ``_CERTIFIED_GAP`` bits of ``lower``: the value is then certified to that
     gap.  This is tested where the loop decides after its projection: at its
     one no-progress exit (a stationary point or a failed line search) and
-    after an accepted step, so every call runs at least one projection.  The
-    descent starts from the better of the maximally mixed state and
-    ``divergence._free_abs``'s |X| / ||X||_1 when that is free; on most such
-    collapse-class inputs the stop fires at the first steps.  Otherwise the
-    descent stops, converged, at the no-progress exit once the smoothing
-    weight sits at its floor, or after 25 accepted steps there that change
-    the value by at most 1e-9 relative; an exhausted budget returns
+    after an accepted step, so every call runs at least one projection.
+
+    The descent starts from the lowest-valued of up to three candidates: the
+    maximally mixed state, ``divergence._free_abs``'s |X| / ||X||_1 when that
+    is free (on most such collapse-class inputs the stop fires at the first
+    steps), and ``start`` when given, a strictly interior free state such as
+    the previous order's best point in ``alpha_sweep``.  Each candidate is
+    evaluated through the same defect-aware mixing, the first two at weight
+    ``_EPS_INITIAL`` and ``start`` at ``_EPS_FLOOR``, and the descent keeps
+    its candidate's weight: from ``start`` it runs at the floor throughout,
+    since re-running the decaying schedule would first mix a near-optimal
+    point away from the optimum.
+
+    Otherwise the descent stops, converged, at the no-progress exit once the
+    smoothing weight sits at its floor, or after 25 accepted steps there that
+    change the value by at most 1e-9 relative; an exhausted budget returns
     unconverged.
 
     Returns (value_bits, best interior sigma, iterations, converged).
@@ -258,19 +272,23 @@ def _pg_core(
         except NotPositiveDefiniteError:
             return (math.inf, None) if want_grad else math.inf
 
-    eps = _EPS_INITIAL
     best = None
     sigma = None
     sigma_defect = 0.0
-    # the maximally mixed state, and |X| / ||X||_1 when it is free
-    for cand in (eye_over_d, _free_abs(X, apply_map)):
+    # the maximally mixed state, |X| / ||X||_1 when it is free, and the
+    # caller's start, which is evaluated and descended from at the floor
+    for cand, cand_eps in (
+        (eye_over_d, _EPS_INITIAL),
+        (_free_abs(X, apply_map), _EPS_INITIAL),
+        (start, _EPS_FLOOR),
+    ):
         if cand is None:
             continue
         cand_defect = defect_of(cand)
-        val = eval_log(cand, eps, cand_defect, want_grad=False)
+        val = eval_log(cand, cand_eps, cand_defect, want_grad=False)
         if best is None or val < best[0]:
-            best = (val, reg(cand, eps, cand_defect))
-            sigma, sigma_defect = cand, cand_defect
+            best = (val, reg(cand, cand_eps, cand_defect))
+            sigma, sigma_defect, eps = cand, cand_defect, cand_eps
 
     best_log, best_point = best
     streak = 0
@@ -597,12 +615,31 @@ def _check_bracket(result: MeasureResult, lower: float, upper: float, value_tol:
 
 
 def alpha_sweep(rho, alphas: Sequence[float], cfg: SolverConfig = DEFAULT_CONFIG) -> list[MeasureResult]:
-    """Measure values over an ascending grid of orders, with an ordering audit."""
+    """Measure values over an ascending grid of orders, with an ordering audit.
+
+    X = T_B(rho), the map and the order-1 value are computed once for the
+    grid.  Each finite order after the first starts projected gradient from
+    the previous finite order's ``certificate_sigma``, a strictly interior
+    PPT state near the new optimum, since the optimum moves continuously
+    with the order; ``_pg_core`` uses it only where it evaluates lowest, so
+    every value is still a rigorous upper bound.  Order 1, order infinity
+    and the first finite order are exactly ``e_alpha``'s results.
+    """
+    # imported here: resource imports this module
+    from .resource import _measure
+
     alphas = [check_alpha(a) for a in alphas]
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("orders must be sorted ascending")
     rho = as_state(rho)
-    results = [e_alpha(rho, a, cfg) for a in alphas]
+    X = partial_transpose(rho.matrix, rho.dims, "B")
+    apply_map, lower = _pt(rho.dims), log_negativity(rho)
+    results = []
+    start = None
+    for a in alphas:
+        results.append(_measure(rho, X, apply_map, lower, a, cfg, start))
+        if 1 < a < math.inf:
+            start = results[-1].certificate_sigma.matrix
     for i, j in audit_monotonicity(results, cfg.value_tol):
         note = f"ordering audit: value at order {results[i].alpha} exceeds order {results[j].alpha}"
         results[i].diagnostic = (results[i].diagnostic + "; " + note).lstrip("; ")

@@ -408,6 +408,52 @@ class TestAlphaSweep:
         with pytest.raises(ValueError):
             alpha_sweep(max_entangled(2), [2.0, 1.0], FAST)
 
+    def test_warm_start_matches_cold_solves(self):
+        # the bench's hard 3x3 state: NPT and not binegative, so projected
+        # gradient runs to a stall at every finite order
+        rho = random_npt(BipartitionDims(3, 3), 1, want_binegativity=False)
+        alphas = [1.0, 1.5, 2.0, 5.0, math.inf]
+        warm = alpha_sweep(rho, alphas, FAST)
+        cold = [e_alpha(rho, a, FAST) for a in alphas]
+        for i in (0, 1, 4):  # order 1, the first finite order and order infinity
+            assert warm[i].value_bits.hex() == cold[i].value_bits.hex()
+            assert warm[i].iterations == cold[i].iterations
+        en = log_negativity(rho)
+        for i in (2, 3):  # started from the previous finite order's optimum
+            assert warm[i].converged
+            assert abs(warm[i].value_bits - cold[i].value_bits) <= FAST.value_tol
+            assert warm[i].value_bits >= en
+        assert sum(r.iterations for r in warm) < sum(r.iterations for r in cold)
+
+    def test_unconverged_warm_start_stays_an_interior_upper_bound(self):
+        rho = random_npt(BipartitionDims(2, 3), 60, want_binegativity=False)
+        cfg = dataclasses.replace(FAST, max_iter=3)
+        results = alpha_sweep(rho, [1.5, 2.0, 3.0, 5.0], cfg)
+        assert not results[0].converged  # the first start is itself unconverged
+        en = log_negativity(rho)
+        for r in results[1:]:
+            assert r.value_bits >= en - 1e-12
+            sigma = r.certificate_sigma
+            assert ppt_membership(sigma)
+            assert float(np.linalg.eigvalsh(sigma.matrix)[0]) > 0.0
+            pt = partial_transpose(sigma.matrix, sigma.dims, "B")
+            assert float(np.linalg.eigvalsh(pt)[0]) > 0.0
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dB=st.sampled_from([2, 3]),
+        rank=st.integers(1, 6),
+    )
+    def test_warm_values_lie_between_order_one_and_cold(self, seed, dB, rank):
+        dims = BipartitionDims(2, dB)
+        rho = random_state(dims, min(rank, dims.total), seed)
+        assume(not ppt_membership(rho))
+        alphas = [1.0, 1.5, 2.0, 3.0]
+        en = log_negativity(rho)
+        for a, r in zip(alphas, alpha_sweep(rho, alphas, FAST)):
+            assert en - 1e-12 <= r.value_bits <= e_alpha(rho, a, FAST).value_bits + FAST.value_tol
+
 
 class TestMeasureLevelProperties:
     def test_alpha_limit_toward_order_one(self):
