@@ -13,6 +13,7 @@ generic resource solver exploits.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -54,6 +55,7 @@ def project_free_set(
     eye_over_d = np.eye(x.shape[0]) / x.shape[0]
     # the corrections of the PSD, map-cone and trace steps
     c_psd = c_map = c_trace = np.zeros_like(x)
+    residual = math.inf
 
     for _ in range(max_cycles):
         start = x

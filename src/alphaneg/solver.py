@@ -50,6 +50,10 @@ closed-form order-1 value, the loop stops as soon as its best upper value is
 within ``_CERTIFIED_GAP`` bits of it, which certifies the value to that gap.
 So projected gradient certifies most collapse-class inputs, two-qubit and
 Werner states among them, at their first steps instead of running to a stall.
+Otherwise it stops, converged, with the smoothing weight at its floor: when a
+step finds no descent, when 25 accepted steps in a row leave the value
+unchanged, or when the last accepted step left sigma unmoved, so that no
+spectral step length can be formed.
 ``alpha_sweep`` hands the loop a third starting point: the previous finite
 order's best point, which lies near the new optimum because the optimum
 moves continuously with the order.  The loop starts from whichever of the
@@ -236,10 +240,13 @@ def _pg_core(
     since re-running the decaying schedule would first mix a near-optimal
     point away from the optimum.
 
-    Otherwise the descent stops, converged, at the no-progress exit once the
-    smoothing weight sits at its floor, or after 25 accepted steps there that
-    change the value by at most 1e-9 relative; an exhausted budget returns
-    unconverged.
+    Otherwise the descent stops, converged, once the smoothing weight sits at
+    its floor: at the no-progress exit; after 25 accepted steps there that
+    change the value by at most 1e-9 relative; or at the stationary exit,
+    when the step accepted at the previous, floor-weighted iteration moved
+    sigma by at most 1e-15 in Frobenius norm.  The spectral step length is
+    then undefined, and its safeguard step would stall the projection for its
+    whole cycle budget.  An exhausted budget returns unconverged.
 
     Returns (value_bits, best interior sigma, iterations, converged).
     """
@@ -306,6 +313,7 @@ def _pg_core(
         if log_f < best_log:
             best_log, best_point = log_f, reg(sigma, eps, sigma_defect)
 
+        at_floor = eps <= _EPS_FLOOR * (1 + 1e-12)
         # spectral (Barzilai-Borwein) step length, safeguarded; falls back to
         # a gradient-normalized step on the first iteration or bad curvature
         fallback = _ARMIJO_INITIAL_STEP / (1.0 + frob_norm(grad))
@@ -313,14 +321,21 @@ def _pg_core(
             s_diff = sigma - prev_sigma
             y_diff = grad - prev_grad
             sy = float(np.real(np.sum(s_diff.conj() * y_diff)))
+            ss = float(np.real(np.sum(s_diff.conj() * s_diff)))
             if sy > 1e-30:
-                ss = float(np.real(np.sum(s_diff.conj() * s_diff)))
                 step_scale = min(max(ss / sy, 1e-10 * fallback), 1e10 * fallback)
+            elif ss <= 1e-30 and at_floor and prev_at_floor:
+                # the previous step, taken at the floor, left sigma where it
+                # was: stationary, and the 1e4 step below would only stall the
+                # projection.  The retry after the weight drops to the floor
+                # also has s = 0, but has taken no step there yet.
+                converged = True
+                break
             else:
                 step_scale = 1e4 * fallback
         else:
             step_scale = fallback
-        prev_sigma, prev_grad = sigma, grad
+        prev_sigma, prev_grad, prev_at_floor = sigma, grad, at_floor
 
         target = project(sigma - step_scale * grad)
         target_defect = defect_of(target)
@@ -329,7 +344,6 @@ def _pg_core(
         # min-eigenvalue is concave, so points on the segment are no worse
         segment_defect = max(sigma_defect, target_defect)
 
-        at_floor = eps <= _EPS_FLOOR * (1 + 1e-12)
         accepted = False
         # written so that a NaN ratio runs the line search
         if not (dir_norm / max(step_scale, 1e-30) <= _GRAD_TOL):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,14 @@ class TestDykstraCycles:
         # the count is that of the cycles: one cycle fewer does not converge
         with pytest.raises(NotConvergedError):
             project_free_set(phi, _pt(DIMS22), cycles - 1, 1e-10)
+
+    def test_zero_budget_raises_with_the_input(self, psd_calls):
+        phi = max_entangled(2).matrix
+        with pytest.raises(NotConvergedError) as err:
+            project_free_set(phi, _pt(DIMS22), 0, 1e-10)
+        assert np.array_equal(err.value.iterate, phi)
+        assert err.value.residual == math.inf
+        assert psd_calls == []
 
 
 class TestInteriorPoint:

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alphaneg.divergence import binegativity_psd, log_negativity, mu_alpha
-from alphaneg.errors import NotPositiveDefiniteError
+from alphaneg.errors import NotConvergedError, NotPositiveDefiniteError
 from alphaneg.linalg import BipartitionDims, _pt, partial_transpose, schatten_norm
 from alphaneg import solver
 from alphaneg.pptgeom import regularize
@@ -340,6 +340,51 @@ class TestCertifiedStop:
         r = e_alpha(rho, 1.5, FAST)
         assert r.converged
         assert r.value_bits - log_negativity(rho) > solver._CERTIFIED_GAP
+
+
+class TestStationaryExit:
+    """On the benchmark's seed-0 2x3 hard state, projected gradient ends each
+    finite order with an accepted step that leaves sigma unmoved at the
+    smoothing floor.  The loop stops there, converged, instead of sending
+    Dykstra a point far outside the free set."""
+
+    @pytest.fixture
+    def stalls(self, monkeypatch):
+        caught = []
+        original = solver.project_free_set
+
+        def counted(*args):
+            try:
+                return original(*args)
+            except NotConvergedError as exc:
+                caught.append(exc)
+                raise
+
+        monkeypatch.setattr(solver, "project_free_set", counted)
+        return caught
+
+    @staticmethod
+    def hard_state():
+        return random_npt(BipartitionDims(2, 3), 1, want_binegativity=False)
+
+    def test_sweep_makes_no_stalled_projection(self, stalls):
+        results = alpha_sweep(self.hard_state(), [1.0, 1.5, 2.0, 5.0], FAST)
+        assert [r.iterations for r in results[1:]] == [51, 38, 57]
+        assert all(r.converged for r in results)
+        assert stalls == []
+
+    def test_cold_solve_makes_no_stalled_projection(self, stalls):
+        r = e_alpha(self.hard_state(), 2.0, FAST)
+        assert r.iterations == 50 and r.converged
+        assert stalls == []
+
+    def test_not_taken_on_the_retry_at_the_floor(self):
+        # a no-progress exit above the floor moves the weight to the floor and
+        # retries from the same sigma, so s = 0 there although no step was
+        # taken at the floor; exiting on that retry would end this solve at
+        # iteration 15 and skip the descent at the floor
+        r = e_alpha(random_state(BipartitionDims(2, 3), 1, 78), 3.0, FAST)
+        assert r.iterations == 43 and r.converged
 
 
 class TestBracket:
