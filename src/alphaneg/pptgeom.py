@@ -24,6 +24,7 @@ from .linalg import (
     _pt,
     check_hermitian,
     frob_norm,
+    herm_part,
     psd_project,
 )
 from .states import BipartiteState
@@ -49,9 +50,11 @@ def project_free_set(
     cycle calls ``psd_project`` exactly twice.  The projection returns once a
     cycle moves the iterate by less than ``residual_tol`` in Frobenius norm.
     Raises NotConvergedError carrying the last iterate when no cycle within
-    the budget does.
+    the budget does.  M must be Hermitian: callers validate caller input
+    (``project_ppt`` does), and the Hermitian part taken here only absorbs
+    rounding.
     """
-    x = check_hermitian(M)
+    x = herm_part(M)
     eye_over_d = np.eye(x.shape[0]) / x.shape[0]
     # the corrections of the PSD, map-cone and trace steps
     c_psd = c_map = c_trace = np.zeros_like(x)
@@ -81,7 +84,7 @@ def project_free_set(
 
 def project_ppt(M: np.ndarray, dims: BipartitionDims) -> BipartiteState:
     """Frobenius-nearest PPT state to a Hermitian operator."""
-    x = project_free_set(M, _pt(dims), _MAX_CYCLES, _RESIDUAL_TOL)
+    x = project_free_set(check_hermitian(M), _pt(dims), _MAX_CYCLES, _RESIDUAL_TOL)
     # the iterate can sit a hair outside the cones; snap the tiny negative
     # eigenvalue noise so the state validator accepts it
     x = psd_project(x)

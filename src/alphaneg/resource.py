@@ -2,17 +2,20 @@
 
 The free set is {sigma : sigma >= 0, P(sigma) >= 0, Tr sigma = 1} and the
 measure is the infimum over it of the order-alpha divergence of P(rho).  This
-module holds the one measure engine, ``_measure``: the free-input
-short-circuit, the closed form at order 1, projected gradient between and
-the barrier SDP at order infinity.  Every result gets the one bracket audit
+module holds the one measure engine, ``_measure``, which solves an ascending
+grid of orders on one P(rho): the free-input short-circuit, tested once per
+grid, the closed form at order 1, projected gradient between, warm-started
+from the previous finite order, and the barrier SDP at order infinity, then
+the ordering audit across the grid.  Every result gets the one bracket audit
 of ``solver``: a finite-order result goes through ``solver.bracket``, which
 solves the SDP upper endpoint on the engine's own P(rho) when the config
 asks for it, and the SDP value, its own upper endpoint, is checked against
-the closed-form lower one.  ``r_alpha`` validates a ``PositiveMapSpec`` and
-calls the engine; ``solver.e_alpha`` calls it with the partial transpose
-T_B, so the entanglement measure is the T_B case of this one, and
-``solver.e_kappa`` is ``e_alpha`` at order infinity.  Every outcome comes
-back in the ``MeasureResult``.  The engine's
+the closed-form lower one.  The engine has two callers: ``r_alpha``
+validates a ``PositiveMapSpec`` and solves one order, and
+``solver.alpha_sweep`` solves a grid with the partial transpose T_B, so the
+entanglement measure is the T_B case of this one; ``solver.e_alpha`` is
+``alpha_sweep`` at one order and ``solver.e_kappa`` is ``e_alpha`` at order
+infinity.  Every outcome comes back in a ``MeasureResult``.  The engine's
 P(rho) >= 0 test is the one free-state test; ``states.ppt_membership`` is the
 same test for T_B.
 
@@ -56,6 +59,7 @@ from .solver import (
     _check_bracket,
     _kappa_core,
     _pg_core,
+    audit_monotonicity,
     bracket,
 )
 from .states import STATE_ATOL, BipartiteState, as_state
@@ -117,62 +121,63 @@ def r_alpha(rho, pmap: PositiveMapSpec, alpha: float, cfg: SolverConfig = DEFAUL
     rho = as_state(rho)
     _require_dim(pmap, rho.dims.total, "state dimension")
     X = herm_part(pmap.apply(rho.matrix))
-    return _measure(rho, X, pmap.apply, _log2_trace_norm(X), alpha, cfg)
+    return _measure(rho.dims, X, pmap.apply, _log2_trace_norm(X), [alpha], cfg)[0]
 
 
 def _measure(
-    rho: BipartiteState,
+    dims: BipartitionDims,
     X: np.ndarray,
     apply_map: Callable[[np.ndarray], np.ndarray],
     lower: float,
-    alpha: float,
+    alphas: list[float],
     cfg: SolverConfig,
-    start: np.ndarray | None = None,
-) -> MeasureResult:
-    """The measure of rho at a validated order, for a trusted map P.
+) -> list[MeasureResult]:
+    """The measure at each order of a validated, ascending grid, for a
+    trusted map P.
 
     X is P(rho) and ``lower`` the closed-form order-1 value.  A free input
-    (P(rho) >= 0) short-circuits to zero; otherwise order 1 is closed form,
-    order infinity the SDP, and the orders between run projected gradient,
-    which stops, converged, once its upper value is within
-    ``solver._CERTIFIED_GAP`` bits of ``lower``; ``start``, an interior free
-    state, is projected gradient's third starting candidate (see
-    ``solver._pg_core``).  ``solver.bracket`` fills in
-    and checks the bracket of a converged finite-order result, on this X;
-    the SDP value is its own upper endpoint and only gets the check.  An
-    exhausted budget is returned, not raised, with ``converged`` False and a
-    diagnostic.
+    (P(rho) >= 0) short-circuits every order to zero.  Otherwise order 1 is
+    closed form, order infinity the SDP, certified by the free state
+    P(S) / Tr S that attains it, and the orders between run projected
+    gradient, which stops, converged, once its upper value is within
+    ``solver._CERTIFIED_GAP`` bits of ``lower``.  Each finite order after
+    the first may also start from the previous finite order's certificate,
+    near the new optimum since the optimum moves continuously with the order
+    (see ``solver._pg_core``).  ``solver.bracket`` fills in and checks the
+    bracket of a converged finite-order result, on this X; the SDP value is
+    its own upper endpoint and only gets the check.  An exhausted budget is
+    returned, not raised, with ``converged`` False and a diagnostic, and the
+    ordering audit notes each order whose value exceeds the next one's.
     """
     if float(np.linalg.eigvalsh(X)[0]) >= -STATE_ATOL:
-        return MeasureResult(
-            value_bits=0.0,
-            alpha=alpha,
-            certificate_sigma=regularize(BipartiteState(rho.dims, X), _EPS_FLOOR),
-            iterations=0,
-            converged=True,
-            bracket=(0.0, 0.0),
-            diagnostic="input is free; measure vanishes identically",
-        )
-    if math.isinf(alpha):
-        trace_val, S, iters = _kappa_core(X, apply_map)
-        value = math.log2(trace_val)
-        result = MeasureResult(
-            value, alpha, BipartiteState(rho.dims, S / np.trace(S).real), iters, True, (lower, value)
-        )
-        _check_bracket(result, lower, value, cfg.value_tol)
-        return result
-    if alpha == 1:
-        result = MeasureResult(lower, 1.0, interior_point(rho.dims), 0, True, (lower, math.inf))
-    else:
-        value, point, iters, ok = _pg_core(X, apply_map, alpha, cfg.max_iter, lower, start)
-        result = MeasureResult(
-            value, alpha, BipartiteState(rho.dims, point), iters, ok, (lower, math.inf)
-        )
-        if not ok:
-            result.diagnostic = "projected gradient exhausted max_iter"
-            return result
-    bracket(result, X, apply_map, lower, cfg)
-    return result
+        free = regularize(BipartiteState(dims, X), _EPS_FLOOR)
+        diagnostic = "input is free; measure vanishes identically"
+        return [MeasureResult(0.0, a, free, 0, True, (0.0, 0.0), diagnostic) for a in alphas]
+    results = []
+    start = None
+    for alpha in alphas:
+        if math.isinf(alpha):
+            trace_val, S, iters = _kappa_core(X, apply_map)
+            value = math.log2(trace_val)
+            certificate = BipartiteState(dims, apply_map(S) / np.trace(S).real)
+            result = MeasureResult(value, alpha, certificate, iters, True, (lower, value))
+            _check_bracket(result, lower, value, cfg.value_tol)
+        elif alpha == 1:
+            result = MeasureResult(lower, 1.0, interior_point(dims), 0, True, (lower, math.inf))
+            bracket(result, X, apply_map, lower, cfg)
+        else:
+            value, point, iters, ok = _pg_core(X, apply_map, alpha, cfg.max_iter, lower, start)
+            result = MeasureResult(value, alpha, BipartiteState(dims, point), iters, ok, (lower, math.inf))
+            start = result.certificate_sigma.matrix
+            if ok:
+                bracket(result, X, apply_map, lower, cfg)
+            else:
+                result.diagnostic = "projected gradient exhausted max_iter"
+        results.append(result)
+    for i, j in audit_monotonicity(results, cfg.value_tol):
+        note = f"ordering audit: value at order {results[i].alpha} exceeds order {results[j].alpha}"
+        results[i].diagnostic = (results[i].diagnostic + "; " + note).lstrip("; ")
+    return results
 
 
 def _check_free_operation(instr, pmap: PositiveMapSpec) -> None:

@@ -30,16 +30,17 @@ Three routes, one value scale (bits, log base 2):
   least squares.
 
 Both cores take the map as a callable, so they serve any positive map.  The
-branching between the routes and the PPT short-circuit live in one engine,
-``resource._measure``: ``e_alpha`` here is its entry for the partial
-transpose T_B, and ``e_kappa`` is ``e_alpha`` at order infinity.  Each
-result carries the sanity bracket [closed-form lower endpoint, SDP upper
-endpoint]; a converged value must sit inside it up to ``value_tol``.
-``bracket`` is the one audit of it for every map: the engine hands it a
-finite-order result with the P(rho) it solved on, and it solves the SDP
-endpoint on that matrix when the config asks for it.  Every outcome, an
-exhausted budget included, comes back in the ``MeasureResult``; none is
-raised.
+branching between the routes, the PPT short-circuit, the warm start and the
+ordering audit live in one engine, ``resource._measure``, which solves an
+ascending grid of orders on one P(rho).  ``alpha_sweep`` here is its entry
+for the partial transpose T_B, ``e_alpha`` is ``alpha_sweep`` at one order
+and ``e_kappa`` is ``e_alpha`` at order infinity.  Each result carries the
+sanity bracket [closed-form lower endpoint, SDP upper endpoint]; a
+converged value must sit inside it up to ``value_tol``.  ``bracket`` is the
+one audit of it for every map: the engine hands it a finite-order result
+with the P(rho) it solved on, and it solves the SDP endpoint on that matrix
+when the config asks for it.  Every outcome, an exhausted budget included,
+comes back in the ``MeasureResult``; none is raised.
 
 The optimizer state sigma* = |X| / ||X||_1 is feasible exactly when the
 partial transpose of |X| is PSD, and in that case it is optimal for every
@@ -54,10 +55,10 @@ Otherwise it stops, converged, with the smoothing weight at its floor: when a
 step finds no descent, when 25 accepted steps in a row leave the value
 unchanged, or when the last accepted step left sigma unmoved, so that no
 spectral step length can be formed.
-``alpha_sweep`` hands the loop a third starting point: the previous finite
-order's best point, which lies near the new optimum because the optimum
-moves continuously with the order.  The loop starts from whichever of the
-three evaluates lowest.
+On a grid of orders the engine hands the loop a third starting point: the
+previous finite order's best point, which lies near the new optimum because
+the optimum moves continuously with the order.  The loop starts from
+whichever of the three evaluates lowest.
 """
 
 from __future__ import annotations
@@ -129,7 +130,10 @@ class MeasureResult:
     and ``diagnostic`` says why, when projected gradient exhausts
     ``max_iter`` or when a value escapes its bracket beyond ``value_tol``;
     ``value_bits`` is still the best value found.  A free input reads 0,
-    converged, with a diagnostic that says so.
+    converged, with a diagnostic that says so.  ``certificate_sigma`` is a
+    free state: the maximally mixed one at order 1, projected gradient's
+    best point between, and P(S) / Tr S, which attains the SDP value, at
+    order infinity.
     """
 
     value_bits: float
@@ -232,8 +236,9 @@ def _pg_core(
     The descent starts from the lowest-valued of up to three candidates: the
     maximally mixed state, ``divergence._free_abs``'s |X| / ||X||_1 when that
     is free (on most such collapse-class inputs the stop fires at the first
-    steps), and ``start`` when given, a strictly interior free state such as
-    the previous order's best point in ``alpha_sweep``.  Each candidate is
+    steps), and ``start`` when given, a strictly interior free state: on a
+    grid of orders, ``resource._measure`` passes the previous finite order's
+    best point.  Each candidate is
     evaluated through the same defect-aware mixing, the first two at weight
     ``_EPS_INITIAL`` and ``start`` at ``_EPS_FLOOR``, and the descent keeps
     its candidate's weight: from ``start`` it runs at the floor throughout,
@@ -583,18 +588,13 @@ def e_kappa(rho, cfg: SolverConfig = DEFAULT_CONFIG) -> MeasureResult:
 
 
 def e_alpha(rho, alpha: float, cfg: SolverConfig = DEFAULT_CONFIG) -> MeasureResult:
-    """The interpolating measure at the given order, in bits.
+    """The interpolating measure at the given order, in bits: the one-order
+    ``alpha_sweep``, so the order is checked before the state.
 
     Closed form at order 1, projected gradient for finite orders above 1, the
     SDP at order infinity.  PPT inputs short-circuit to exactly zero.
     """
-    # imported here: resource imports this module
-    from .resource import _measure
-
-    alpha = check_alpha(alpha)
-    rho = as_state(rho)
-    X = partial_transpose(rho.matrix, rho.dims, "B")
-    return _measure(rho, X, _pt(rho.dims), log_negativity(rho), alpha, cfg)
+    return alpha_sweep(rho, [alpha], cfg)[0]
 
 
 def bracket(
@@ -631,13 +631,10 @@ def _check_bracket(result: MeasureResult, lower: float, upper: float, value_tol:
 def alpha_sweep(rho, alphas: Sequence[float], cfg: SolverConfig = DEFAULT_CONFIG) -> list[MeasureResult]:
     """Measure values over an ascending grid of orders, with an ordering audit.
 
-    X = T_B(rho), the map and the order-1 value are computed once for the
-    grid.  Each finite order after the first starts projected gradient from
-    the previous finite order's ``certificate_sigma``, a strictly interior
-    PPT state near the new optimum, since the optimum moves continuously
-    with the order; ``_pg_core`` uses it only where it evaluates lowest, so
-    every value is still a rigorous upper bound.  Order 1, order infinity
-    and the first finite order are exactly ``e_alpha``'s results.
+    Checks the orders, then the state, and hands the grid to the engine
+    ``resource._measure`` with X = T_B(rho), the map T_B and the order-1 value,
+    each computed once for the grid; the engine warm-starts each finite order
+    from the previous one and runs the ordering audit.
     """
     # imported here: resource imports this module
     from .resource import _measure
@@ -647,17 +644,7 @@ def alpha_sweep(rho, alphas: Sequence[float], cfg: SolverConfig = DEFAULT_CONFIG
         raise ValueError("orders must be sorted ascending")
     rho = as_state(rho)
     X = partial_transpose(rho.matrix, rho.dims, "B")
-    apply_map, lower = _pt(rho.dims), log_negativity(rho)
-    results = []
-    start = None
-    for a in alphas:
-        results.append(_measure(rho, X, apply_map, lower, a, cfg, start))
-        if 1 < a < math.inf:
-            start = results[-1].certificate_sigma.matrix
-    for i, j in audit_monotonicity(results, cfg.value_tol):
-        note = f"ordering audit: value at order {results[i].alpha} exceeds order {results[j].alpha}"
-        results[i].diagnostic = (results[i].diagnostic + "; " + note).lstrip("; ")
-    return results
+    return _measure(rho.dims, X, _pt(rho.dims), log_negativity(rho), alphas, cfg)
 
 
 def audit_monotonicity(results: Sequence[MeasureResult], value_tol: float) -> list[tuple[int, int]]:

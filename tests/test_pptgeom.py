@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from alphaneg import pptgeom
-from alphaneg.errors import NotConvergedError
+from alphaneg.errors import NonHermitianError, NotConvergedError
 from alphaneg.linalg import BipartitionDims, _pt, partial_transpose
 from alphaneg.pptgeom import (
     interior_point,
@@ -95,6 +95,13 @@ class TestProjectPpt:
         once = project_ppt(h, DIMS22).matrix
         twice = project_ppt(once, DIMS22).matrix
         assert np.linalg.norm(twice - once) < 1e-8
+
+    def test_rejects_a_non_hermitian_operator(self):
+        # the public door validates; project_free_set trusts its input
+        m = max_entangled(2).matrix.copy()
+        m[0, 1] = 0.5
+        with pytest.raises(NonHermitianError, match="not Hermitian within tolerance"):
+            project_ppt(m, DIMS22)
 
     def test_not_converged_carries_iterate(self):
         with pytest.raises(NotConvergedError) as err:

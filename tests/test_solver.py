@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alphaneg.divergence import binegativity_psd, log_negativity, mu_alpha
+from alphaneg.divergence import binegativity_psd, d_max, log_negativity, mu_alpha
 from alphaneg.errors import NotConvergedError, NotPositiveDefiniteError
 from alphaneg.linalg import BipartitionDims, _pt, partial_transpose, schatten_norm
 from alphaneg import solver
@@ -172,13 +172,24 @@ class TestEKappa:
             assert abs(r.value_bits - log_negativity(rho)) < 1e-6
 
     def test_certificate_feasibility(self):
+        # the certificate is T_B(S) / Tr S, so T_B recovers S up to its trace
         rho = random_npt(DIMS22, 8)
         r = e_kappa(rho)
-        s_opt = r.certificate_sigma.matrix * (2**r.value_bits)
+        s_opt = partial_transpose(r.certificate_sigma.matrix, DIMS22) * (2**r.value_bits)
         x = partial_transpose(rho.matrix, DIMS22)
         s_pt = partial_transpose(s_opt, DIMS22)
         for block in (s_pt - x, s_pt + x, s_opt):
             assert np.linalg.eigvalsh(block)[0] >= -1e-8
+
+    @pytest.mark.parametrize("dims", [BipartitionDims(2, 3), BipartitionDims(3, 3)])
+    def test_certificate_attains_kappa(self, dims):
+        # the certificate is a free state at which the max-relative entropy of
+        # T_B(rho) is the order-infinity value, here on the benchmark's hard states
+        rho = random_npt(dims, 1, want_binegativity=False)
+        r = e_kappa(rho)
+        assert ppt_membership(r.certificate_sigma)
+        gap = d_max(partial_transpose(rho.matrix, dims), r.certificate_sigma.matrix) - r.value_bits
+        assert -1e-9 <= gap <= 0.0
 
     @pytest.mark.parametrize("dims", [BipartitionDims(2, 3), BipartitionDims(3, 3), BipartitionDims(4, 4)])
     def test_permutation_gather_matches_dense_newton_system(self, monkeypatch, dims):
