@@ -13,6 +13,7 @@ generic resource solver exploits.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -92,10 +93,17 @@ def project_ppt(M: np.ndarray, dims: BipartitionDims) -> BipartiteState:
     return BipartiteState(dims, x)
 
 
+@functools.cache
 def interior_point(dims: BipartitionDims) -> BipartiteState:
-    """The maximally mixed state, strictly inside both cones."""
+    """The maximally mixed state, strictly inside both cones.
+
+    Built and validated once per ``dims``: every call with equal ``dims``
+    returns the same object, whose matrix is read-only.
+    """
     D = dims.total
-    return BipartiteState(dims, np.eye(D, dtype=complex) / D)
+    sigma = BipartiteState(dims, np.eye(D, dtype=complex) / D)
+    sigma.matrix.flags.writeable = False
+    return sigma
 
 
 def regularize(sigma: BipartiteState, eps: float) -> BipartiteState:

@@ -49,8 +49,10 @@ monotone in the order).  The gradient loop therefore tries it as a starting
 point next to the maximally mixed state.  Since no order goes below the
 closed-form order-1 value, the loop stops as soon as its best upper value is
 within ``_CERTIFIED_GAP`` bits of it, which certifies the value to that gap.
-So projected gradient certifies most collapse-class inputs, two-qubit and
-Werner states among them, at their first steps instead of running to a stall.
+It tests this first on its best start, before any step, and returns that
+start with 0 iterations when it passes.  So projected gradient certifies most
+collapse-class inputs, two-qubit and Werner states among them, at their start
+or first steps instead of running to a stall.
 Otherwise it stops, converged, with the smoothing weight at its floor: when a
 step finds no descent, when 25 accepted steps in a row leave the value
 unchanged, or when the last accepted step left sigma unmoved, so that no
@@ -126,7 +128,10 @@ class MeasureResult:
     ``converged`` is True when projected gradient stopped on its own rules:
     certified within ``_CERTIFIED_GAP`` bits of the order-1 lower bound, or
     stalled with the smoothing weight at its floor (see ``_pg_core``); the
-    order-1 closed form and the SDP are converged as computed.  It is False,
+    order-1 closed form and the SDP are converged as computed.  ``iterations``
+    counts projected-gradient steps, or Newton steps at order infinity; it is
+    0 at order 1, on a free input, and where projected gradient certifies its
+    best start before any step.  ``converged`` is False,
     and ``diagnostic`` says why, when projected gradient exhausts
     ``max_iter`` or when a value escapes its bracket beyond ``value_tol``;
     ``value_bits`` is still the best value found.  A free input reads 0,
@@ -229,18 +234,20 @@ def _pg_core(
 
     The descent stops, converged, when the best upper value comes within
     ``_CERTIFIED_GAP`` bits of ``lower``: the value is then certified to that
-    gap.  This is tested where the loop decides after its projection: at its
-    one no-progress exit (a stationary point or a failed line search) and
-    after an accepted step, so every call runs at least one projection.
+    gap.  This is tested on the best start, where a pass returns that start
+    with 0 iterations and no projection, and then where the loop decides
+    after its projection: at its one no-progress exit (a stationary point or
+    a failed line search) and after an accepted step.
 
     The descent starts from the lowest-valued of up to three candidates: the
     maximally mixed state, ``divergence._free_abs``'s |X| / ||X||_1 when that
-    is free (on most such collapse-class inputs the stop fires at the first
-    steps), and ``start`` when given, a strictly interior free state: on a
-    grid of orders, ``resource._measure`` passes the previous finite order's
-    best point.  Each candidate is
-    evaluated through the same defect-aware mixing, the first two at weight
-    ``_EPS_INITIAL`` and ``start`` at ``_EPS_FLOOR``, and the descent keeps
+    is free (on most such collapse-class inputs the stop fires at the start
+    or the first steps), and ``start`` when given, a strictly interior free
+    state: on a grid of orders, ``resource._measure`` passes the previous
+    finite order's best point.  Each candidate is evaluated through the same
+    defect-aware mixing, the first two at weight ``_EPS_INITIAL`` and
+    ``start`` at ``_EPS_FLOOR``; the maximally mixed state has no defect,
+    since the map is unital, and is not tested for one.  The descent keeps
     its candidate's weight: from ``start`` it runs at the floor throughout,
     since re-running the decaying schedule would first mix a near-optimal
     point away from the optimum.
@@ -296,13 +303,17 @@ def _pg_core(
     ):
         if cand is None:
             continue
-        cand_defect = defect_of(cand)
+        # the map is unital, so I/D and its image are PSD: no defect to test
+        cand_defect = 0.0 if cand is eye_over_d else defect_of(cand)
         val = eval_log(cand, cand_eps, cand_defect, want_grad=False)
         if best is None or val < best[0]:
             best = (val, reg(cand, cand_eps, cand_defect))
             sigma, sigma_defect, eps = cand, cand_defect, cand_eps
 
     best_log, best_point = best
+    if certified():
+        # the best start is already certified to the gap: take no step
+        return best_log / (alpha * LN2), best_point, 0, True
     streak = 0
     prev_log = math.inf
     converged = False

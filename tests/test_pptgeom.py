@@ -12,7 +12,14 @@ from alphaneg.pptgeom import (
     project_ppt,
     regularize,
 )
-from alphaneg.states import max_entangled, ppt_membership, random_state, werner_state
+from alphaneg.solver import e_alpha
+from alphaneg.states import (
+    BipartiteState,
+    max_entangled,
+    ppt_membership,
+    random_state,
+    werner_state,
+)
 
 from conftest import random_hermitian
 
@@ -159,6 +166,29 @@ class TestInteriorPoint:
 
     def test_strictly_interior(self):
         assert min(min_eigs(interior_point(DIMS22))) > 1e-8
+
+    def test_built_once_per_dims_and_read_only(self):
+        state = interior_point(DIMS22)
+        assert interior_point(BipartitionDims(2, 2)) is state
+        assert interior_point(BipartitionDims(2, 3)) is not state
+        with pytest.raises(ValueError):
+            state.matrix[0, 0] = 1.0
+
+    def test_order_one_validates_no_certificate(self, monkeypatch):
+        # the order-1 certificate is the cached maximally mixed state, so a
+        # repeat solve on the same dims builds no state at all
+        rho = max_entangled(2)
+        e_alpha(rho, 1.0)
+        built = []
+        original = BipartiteState.__post_init__
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(BipartiteState, "__post_init__", counted)
+        assert e_alpha(rho, 1.0).certificate_sigma is interior_point(DIMS22)
+        assert built == []
 
     def test_divergence_finite_for_any_state(self):
         from alphaneg.divergence import nu_alpha

@@ -179,6 +179,22 @@ class TestRAlpha:
         assert r.bracket[0] == pytest.approx(log_negativity(w), abs=1e-12)
         assert -1e-12 <= r.value_bits - r.bracket[0] <= solver._CERTIFIED_GAP
 
+    @pytest.mark.parametrize(
+        "alpha, value_hex, iterations",
+        [(1.5, "0x1.f19ccc5c91d0dp-2", 51), (2.0, "0x1.f20105e21d63fp-2", 52)],
+    )
+    def test_conjugated_partial_transpose_keeps_its_bits(self, alpha, value_hex, iterations):
+        # rho = V W V^dag with W a hard 2x3 state (NPT, not binegative): the
+        # descent takes its full course, and its start skips the defect test
+        # of the maximally mixed state, which the unital map leaves PSD.  The
+        # value and the iteration count are those of the full defect test.
+        dims, v, pmap = _conjugated_partial_transpose()
+        w = random_state(dims, 3, seed=1)
+        assert not ppt_membership(w) and not binegativity_psd(w)
+        r = r_alpha(BipartiteState(dims, v @ w.matrix @ v.conj().T), pmap, alpha, FAST)
+        assert r.converged
+        assert (r.value_bits.hex(), r.iterations) == (value_hex, iterations)
+
     def test_map_dims_must_match_state(self):
         rho = random_state(BipartitionDims(2, 3), 3, seed=206)
         with pytest.raises(UnsupportedMapError):

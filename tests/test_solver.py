@@ -308,7 +308,7 @@ class TestCertifiedStop:
     @staticmethod
     def assert_certified(r, rho, max_iterations):
         assert r.converged
-        assert 1 <= r.iterations <= max_iterations
+        assert 0 <= r.iterations <= max_iterations
         assert -1e-12 <= r.value_bits - log_negativity(rho) <= solver._CERTIFIED_GAP
 
     @staticmethod
@@ -321,6 +321,23 @@ class TestCertifiedStop:
     def test_pure_and_werner_stop_at_the_first_steps(self, alpha):
         for rho in (self.schmidt_state(0.3), werner_state(2, 0.8), werner_state(3, 0.8)):
             self.assert_certified(e_alpha(rho, alpha, FAST), rho, 2)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 5.0])
+    def test_werner_is_certified_at_the_start(self, alpha, monkeypatch):
+        # |X| / ||X||_1 mixed at the initial weight is already within the gap,
+        # so the loop takes no step and projects nothing (the pure Schmidt
+        # state is not: its mixed start sits outside the gap)
+        projections = []
+        original = solver.project_free_set
+
+        def counted(*args):
+            projections.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "project_free_set", counted)
+        for rho in (werner_state(2, 0.8), werner_state(3, 0.8)):
+            self.assert_certified(e_alpha(rho, alpha, FAST), rho, 0)
+        assert projections == []
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 5.0])
     def test_random_two_qubit_states(self, alpha):
