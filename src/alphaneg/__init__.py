@@ -25,12 +25,10 @@ from .errors import (
 )
 from .linalg import (
     BipartitionDims,
-    matrix_power_support,
     partial_trace,
     partial_transpose,
     psd_project,
     schatten_norm,
-    support_leq,
     tensor,
 )
 from .pptgeom import interior_point, project_ppt, regularize

@@ -41,6 +41,7 @@ import numpy as np
 from .divergence import check_alpha
 from .errors import InvalidStateError, OutOfDomainError
 from .linalg import (
+    _RESCALE_ABOVE,
     BipartitionDims,
     _conjugated_choi,
     _pt,
@@ -110,6 +111,9 @@ class SuperOperator:
                 raise ValueError(f"{side} bipartition {bp.dA}x{bp.dB} does not match dimension {dim}")
         object.__setattr__(self, "matrix", m)
         choi = choi_of(self)
+        peak = max(float(np.abs(choi.real).max()), float(np.abs(choi.imag).max()))
+        if peak > _RESCALE_ABOVE:  # exact, and the rule is relative up here: J - J^dag stays finite
+            choi = choi * 2.0 ** -math.frexp(peak)[1]
         if op_norm(choi - choi.conj().T) > _CHOI_TOL * max(1.0, op_norm(choi)):
             raise ValueError("superoperator is not Hermiticity-preserving")
 

@@ -12,7 +12,9 @@ the first argument is a partial transpose and may fail to be PSD.
 
 One formula serves every order: the exponent p = (1-alpha)/(2alpha) is
 exactly 0 at alpha=1, where sigma^0 on its support is the support projector,
-and -1/2 at alpha=inf, where the Schatten norm is the operator norm.
+and -1/2 at alpha=inf, where the Schatten norm is the operator norm.  The pair
+is validated once, and one eigendecomposition of sigma gives both the support
+decision and sigma^p (``linalg._support_power``).
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ import numpy as np
 from .errors import AlphaOutOfRangeError, ZeroOperatorError
 from .linalg import (
     _pt,
+    _support_power,
     check_hermitian,
     herm_part,
-    matrix_power_support,
     partial_transpose,
     schatten_norm,
-    support_leq,
 )
 from .states import STATE_ATOL, as_state
 
@@ -50,6 +51,8 @@ def _check_pair(X: np.ndarray, sigma: np.ndarray):
         raise ZeroOperatorError("first argument is the zero operator")
     if not np.any(sigma):
         raise ZeroOperatorError("second argument is the zero operator")
+    if X.shape != sigma.shape:
+        raise ValueError(f"operator shapes do not match: {X.shape} vs {sigma.shape}")
     return X, sigma
 
 
@@ -62,10 +65,10 @@ def mu_alpha(X: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """
     alpha = check_alpha(alpha)
     X, sigma = _check_pair(X, sigma)
-    if not support_leq(X, sigma):
-        return INF
     p = -0.5 if math.isinf(alpha) else (1 - alpha) / (2 * alpha)
-    sp = matrix_power_support(sigma, p)
+    sp = _support_power(X, sigma, p)
+    if sp is None:
+        return INF
     return schatten_norm(sp @ X @ sp, alpha)
 
 
@@ -143,6 +146,8 @@ def classical_relative_entropy(p, q) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError("weights must be finite")
     if np.any(q <= 0):
         raise ValueError("reference weights must be entrywise positive")
     if np.any(p < 0):

@@ -12,9 +12,9 @@ module owns the conventions:
   iterates of the projections) passes one entrywise comparison, and every
   other matrix gets the two SVDs, so it accepts exactly what the SVD test
   accepts;
-* ``matrix_power_support`` makes the one support decision: eigenvalues at or
-  below ``tol * lambda_max`` count as zero, so sigma^0 is the support
-  projector, which the support inclusion test ``support_leq`` reads too.
+* ``_support_power`` makes the one support decision from one decomposition of
+  sigma: eigenvalues at or below ``SUPPORT_TOL * lambda_max`` count as zero,
+  and sigma^p on that support comes only for an X inside it.
 """
 
 from __future__ import annotations
@@ -212,17 +212,6 @@ def _permutation_of(P: np.ndarray) -> np.ndarray | None:
     return perm
 
 
-def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (w, v) of a Hermitian matrix within HERMITICITY_TOL, as
-    ``numpy.linalg.eigh`` returns it: ascending eigenvalues and the unitary
-    whose columns are the eigenvectors.
-
-    The input is symmetrized before the decomposition, so the reconstruction
-    matches the symmetrized matrix to solver precision.
-    """
-    return np.linalg.eigh(check_hermitian(H))
-
-
 def schatten_norm(M: np.ndarray, alpha: float) -> float:
     """Schatten norm (sum of singular values^alpha)^(1/alpha); alpha=inf gives
     the operator norm."""
@@ -240,33 +229,29 @@ def schatten_norm(M: np.ndarray, alpha: float) -> float:
     return smax * float(np.sum((s / smax) ** alpha)) ** (1.0 / alpha)
 
 
-def matrix_power_support(H: np.ndarray, p: float, tol: float = SUPPORT_TOL) -> np.ndarray:
-    """Generalized matrix power of a PSD matrix, taken on its support.
+def _support_power(X: np.ndarray, sigma: np.ndarray, p: float) -> np.ndarray | None:
+    """sigma^p on the support of PSD sigma, or None when the support of
+    Hermitian X is not inside it; X and sigma are a validated pair of one shape.
 
-    Eigenvalues at or below ``tol * lambda_max`` map to zero; the rest map to
-    lambda^p (p = 0 gives the support projector, negative p the generalized
-    inverse power).  A negative eigenvalue below ``-tol * lambda_max`` raises
-    NegativeSpectrumError.
+    Eigenvalues at or below ``SUPPORT_TOL * lambda_max`` count as zero, so
+    p = 0 gives the support projector P, and X is inside the support when
+    ||(1-P) X (1-P)||_2 and ||(1-P) X||_2 are both at most ``SUPPORT_TOL``.
+    A negative eigenvalue below ``-SUPPORT_TOL * lambda_max`` raises
+    NegativeSpectrumError first.
     """
-    w, v = hermitian_eig(H)
-    lam_max = float(np.max(np.abs(w))) if w.size else 0.0
-    if w.size and float(w[0]) < -tol * lam_max:
+    w, v = np.linalg.eigh(sigma)
+    lam_max = float(np.max(np.abs(w)))
+    if float(w[0]) < -SUPPORT_TOL * lam_max:
         raise NegativeSpectrumError(
             f"matrix has negative eigenvalue {w[0]:.3e} beyond tolerance"
         )
-    mask = np.abs(w) > tol * lam_max
+    mask = np.abs(w) > SUPPORT_TOL * lam_max
+    comp = np.eye(w.size) - herm_part((v * mask) @ v.conj().T)
+    if not (op_norm(comp @ X @ comp) <= SUPPORT_TOL and op_norm(comp @ X) <= SUPPORT_TOL):
+        return None
     powered = np.zeros_like(w)
-    powered[mask] = np.clip(w[mask], 0.0, None) ** p if p >= 0 else w[mask] ** p
+    powered[mask] = w[mask] ** p  # the kept eigenvalues are positive
     return herm_part((v * powered) @ v.conj().T)
-
-
-def support_leq(X: np.ndarray, sigma: np.ndarray) -> bool:
-    """True iff the support of Hermitian X lies inside that of PSD sigma, within
-    ``SUPPORT_TOL``.  The support is ``matrix_power_support``'s, so a sigma with
-    a negative eigenvalue beyond the tolerance raises NegativeSpectrumError."""
-    X = check_hermitian(X)
-    comp = np.eye(sigma.shape[0]) - matrix_power_support(sigma, 0.0)
-    return op_norm(comp @ X @ comp) <= SUPPORT_TOL and op_norm(comp @ X) <= SUPPORT_TOL
 
 
 def psd_project(H: np.ndarray) -> np.ndarray:

@@ -159,8 +159,14 @@ def no_monogamy_fixture() -> tuple[BipartiteState, BipartiteState, BipartiteStat
 def cq_assemble(weights: Sequence[float], blocks: Sequence[np.ndarray]) -> np.ndarray:
     """Block-diagonal sum of w(x) |x><x| (x) B^x on the flag-register space."""
     weights = np.asarray(weights, dtype=float)
-    n = len(blocks)
-    d = blocks[0].shape[0]
+    shapes = [np.shape(b) for b in blocks]
+    n = len(shapes)
+    d = shapes[0][-1] if n and shapes[0] else 0
+    if n == 0 or weights.shape != (n,) or any(shape != (d, d) for shape in shapes):
+        raise ValueError(
+            "need one weight per block and square blocks of one shape, got "
+            f"weights of shape {weights.shape} and blocks of shapes {shapes}"
+        )
     out = np.zeros((n * d, n * d), dtype=complex)
     for x, (w, b) in enumerate(zip(weights, blocks)):
         out[x * d : (x + 1) * d, x * d : (x + 1) * d] = w * np.asarray(b)

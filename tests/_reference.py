@@ -5,8 +5,22 @@ from typing import Sequence
 
 import numpy as np
 
-from alphaneg.errors import NonHermitianError, NotPositiveDefiniteError
-from alphaneg.linalg import HERMITICITY_TOL, frob_norm, herm_part, op_norm
+from alphaneg.divergence import check_alpha
+from alphaneg.errors import (
+    NegativeSpectrumError,
+    NonHermitianError,
+    NotPositiveDefiniteError,
+    ZeroOperatorError,
+)
+from alphaneg.linalg import (
+    HERMITICITY_TOL,
+    SUPPORT_TOL,
+    check_hermitian,
+    frob_norm,
+    herm_part,
+    op_norm,
+    schatten_norm,
+)
 
 
 def subsystem_transpose(M: np.ndarray, dims: Sequence[int], which: Sequence[int]) -> np.ndarray:
@@ -105,3 +119,63 @@ def two_stage_check_hermitian(M: np.ndarray, tol: float = HERMITICITY_TOL) -> np
     if T is M:
         return herm_part(M)
     return M / 2 + M.conj().T / 2  # halved first: M + M^dag can overflow up here
+
+
+# The mu_alpha path that decomposed sigma twice: a support test through the
+# support projector, then sigma^p, each from its own eigendecomposition.
+
+
+def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of a Hermitian matrix within HERMITICITY_TOL, as
+    ``numpy.linalg.eigh`` returns it: ascending eigenvalues and the unitary
+    whose columns are the eigenvectors.
+
+    The input is symmetrized before the decomposition, so the reconstruction
+    matches the symmetrized matrix to solver precision.
+    """
+    return np.linalg.eigh(check_hermitian(H))
+
+
+def matrix_power_support(H: np.ndarray, p: float, tol: float = SUPPORT_TOL) -> np.ndarray:
+    """Generalized matrix power of a PSD matrix, taken on its support.
+
+    Eigenvalues at or below ``tol * lambda_max`` map to zero; the rest map to
+    lambda^p (p = 0 gives the support projector, negative p the generalized
+    inverse power).  A negative eigenvalue below ``-tol * lambda_max`` raises
+    NegativeSpectrumError.
+    """
+    w, v = hermitian_eig(H)
+    lam_max = float(np.max(np.abs(w))) if w.size else 0.0
+    if w.size and float(w[0]) < -tol * lam_max:
+        raise NegativeSpectrumError(
+            f"matrix has negative eigenvalue {w[0]:.3e} beyond tolerance"
+        )
+    mask = np.abs(w) > tol * lam_max
+    powered = np.zeros_like(w)
+    powered[mask] = np.clip(w[mask], 0.0, None) ** p if p >= 0 else w[mask] ** p
+    return herm_part((v * powered) @ v.conj().T)
+
+
+def support_leq(X: np.ndarray, sigma: np.ndarray) -> bool:
+    """True iff the support of Hermitian X lies inside that of PSD sigma, within
+    ``SUPPORT_TOL``.  The support is ``matrix_power_support``'s, so a sigma with
+    a negative eigenvalue beyond the tolerance raises NegativeSpectrumError."""
+    X = check_hermitian(X)
+    comp = np.eye(sigma.shape[0]) - matrix_power_support(sigma, 0.0)
+    return op_norm(comp @ X @ comp) <= SUPPORT_TOL and op_norm(comp @ X) <= SUPPORT_TOL
+
+
+def mu_alpha(X: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
+    """``divergence.mu_alpha`` on that path, for pairs of one shape."""
+    alpha = check_alpha(alpha)
+    X = check_hermitian(X)
+    sigma = check_hermitian(sigma)
+    if not np.any(X):
+        raise ZeroOperatorError("first argument is the zero operator")
+    if not np.any(sigma):
+        raise ZeroOperatorError("second argument is the zero operator")
+    if not support_leq(X, sigma):
+        return math.inf
+    p = -0.5 if math.isinf(alpha) else (1 - alpha) / (2 * alpha)
+    sp = matrix_power_support(sigma, p)
+    return schatten_norm(sp @ X @ sp, alpha)

@@ -135,6 +135,13 @@ class TestChoi:
         with pytest.raises(ValueError, match="superoperator entries must be finite"):
             SuperOperator(m, 2, 2)
 
+    @pytest.mark.parametrize("entry", [8.98846567431158e307j, 1.7e308 + 1.7e308j])
+    def test_superoperator_decides_hermiticity_near_the_float_limit(self, entry):
+        # J - J^dag would overflow unscaled; a real entry that large is accepted
+        with pytest.raises(ValueError, match="not Hermiticity-preserving"):
+            SuperOperator(np.array([[entry]]), 1, 1)
+        assert SuperOperator(np.array([[abs(entry.imag)]]), 1, 1).matrix[0, 0] == abs(entry.imag)
+
     @pytest.mark.parametrize("side", ["in", "out"])
     def test_superoperator_rejects_a_bipartition_of_another_dimension(self, side):
         # accepted, it would send every r_alpha_channel input to the search

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alphaneg import divergence, linalg
 from alphaneg.channels import Instrument, channel_e_alpha, kraus_channel, werner_holevo_channel
 from alphaneg.divergence import (
     binegativity_psd,
@@ -19,10 +20,11 @@ from alphaneg.divergence import (
 from alphaneg.errors import (
     AlphaOutOfRangeError,
     NegativeSpectrumError,
+    NonHermitianError,
     NotPositiveDefiniteError,
     ZeroOperatorError,
 )
-from alphaneg.linalg import BipartitionDims, matrix_power_support, schatten_norm
+from alphaneg.linalg import BipartitionDims, schatten_norm
 from alphaneg.resource import (
     builtin_map,
     free_instrument_monotonicity_check,
@@ -32,6 +34,7 @@ from alphaneg.resource import (
 from alphaneg.solver import alpha_sweep, e_alpha
 from alphaneg.states import BipartiteState, max_entangled, random_state, werner_state
 
+import _reference
 from _reference import gamma_conjugate, weighted_norm
 from conftest import random_hermitian, random_pd, random_psd
 
@@ -111,6 +114,91 @@ class TestMuAlpha:
         with pytest.raises(AlphaOutOfRangeError):
             mu_alpha(X_HALF, EYE_HALF, 0.7)
 
+    @pytest.mark.parametrize(
+        "fn",
+        [mu_alpha, nu_alpha, sandwiched_renyi, lambda x, s, a: d_max(x, s)],
+        ids=["mu_alpha", "nu_alpha", "sandwiched_renyi", "d_max"],
+    )
+    def test_mismatched_pair_names_both_shapes(self, fn):
+        with pytest.raises(ValueError, match=r"shapes do not match: \(2, 2\) vs \(3, 3\)"):
+            fn(np.eye(2), np.eye(3) / 3, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_rejects_non_finite_entries(self, bad, first):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = m[1, 0] = bad
+        pair = (m, EYE_HALF) if first else (X_HALF, m)
+        with pytest.raises(NonHermitianError, match="matrix has non-finite entries"):
+            mu_alpha(*pair, 2.0)
+
+    @pytest.mark.parametrize("alpha", [1, 2, math.inf])
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            (X_HALF, EYE_HALF),
+            (np.diag([1.0, 0.0, 0.0]), np.diag([0.6, 0.4, 0.0])),
+            (np.diag([1.0, -1.0]), np.diag([1.0, 0.0])),  # X escapes: +inf
+        ],
+    )
+    def test_validates_twice_and_decomposes_once(self, pair, alpha, monkeypatch):
+        calls = {"check_hermitian": 0, "eigh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        check = counted("check_hermitian", linalg.check_hermitian)
+        monkeypatch.setattr(linalg, "check_hermitian", check)
+        monkeypatch.setattr(divergence, "check_hermitian", check)
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        mu_alpha(*pair, alpha)
+        assert calls == {"check_hermitian": 2, "eigh": 1}
+
+
+# sigma spectra with entries on both sides of the support tolerance, 1e-10
+# relative to the largest eigenvalue, and one eigenvalue that may be negative
+# within or beyond the same tolerance
+EIGENVALUE = st.sampled_from([1.0, 0.37, 1e-3, 1e-9, 2e-10, 1e-10, 5e-11, 0.0])
+NEGATIVE = st.sampled_from([None, None, None, -5e-11, -2e-10, -0.3])
+ORDER = st.sampled_from([1.0, 1.5, 2.0, 5.0, math.inf]) | st.floats(1.0, 64.0)
+
+
+def _outcome(fn, *args):
+    """The value's exact bits, or the error's type and message."""
+    try:
+        return float(fn(*args)).hex()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+class TestMuAlphaAgainstReference:
+    """mu_alpha against the path that decomposed sigma once for its support
+    and again for sigma^p (``_reference.mu_alpha``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spectrum=st.integers(1, 6).flatmap(lambda n: st.lists(EIGENVALUE, min_size=n, max_size=n)),
+        negative=NEGATIVE,
+        scale=st.sampled_from([1.0, 1e-6, 3e4]),
+        leak=st.sampled_from([0.0, 1e-13, 1e-11, 1e-9, 1.0]),
+        alpha=ORDER,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_or_same_error(self, spectrum, negative, scale, leak, alpha, seed):
+        rng = np.random.default_rng(seed)
+        n = len(spectrum)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        u, _ = np.linalg.qr(g)
+        w = scale * np.array(spectrum if negative is None else [negative] + spectrum[1:])
+        sigma = (u * w) @ u.conj().T
+        keep = u[:, w > 0]
+        x = keep @ random_hermitian(rng, keep.shape[1]) @ keep.conj().T + leak * random_hermitian(rng, n)
+        assert _outcome(mu_alpha, x, sigma, alpha) == _outcome(_reference.mu_alpha, x, sigma, alpha)
+
 
 class TestNuAlpha:
     def test_self_divergence_vanishes(self, rng):
@@ -164,7 +252,7 @@ class TestSandwichedRenyi:
     def test_psd_case_matches_direct_formula(self, rng):
         rho = random_pd(rng, 4, trace=1.0)
         sigma = random_pd(rng, 4, trace=1.0)
-        inv4 = matrix_power_support(sigma, -0.25)
+        inv4 = _reference.matrix_power_support(sigma, -0.25)
         direct = math.log2(np.trace((inv4 @ rho @ inv4) @ (inv4 @ rho @ inv4)).real)
         assert abs(sandwiched_renyi(rho, sigma, 2) - direct) < 1e-9
 
@@ -273,6 +361,19 @@ class TestClassicalRelativeEntropy:
             classical_relative_entropy([1.0], [0.5, 0.5])
         with pytest.raises(ValueError):
             classical_relative_entropy([1.0, 0.0], [0.5, 0.0])
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            ([math.nan, 0.5], [0.5, 0.5]),
+            ([0.5, 0.5], [math.nan, 0.5]),
+            ([0.5, 0.5], [math.inf, 0.5]),
+            ([math.inf, 0.5], [0.5, 0.5]),
+        ],
+    )
+    def test_rejects_non_finite_weights(self, p, q):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            classical_relative_entropy(p, q)
 
 
 class TestDivergenceInvariants:

@@ -17,21 +17,24 @@ from alphaneg.linalg import (
     _conjugated_choi,
     _permutation_of,
     _power_gradient_from_eig,
+    _support_power,
     check_hermitian,
     herm_part,
-    hermitian_eig,
-    matrix_power_support,
     partial_trace,
     partial_transpose,
     permute_subsystems,
     psd_project,
     schatten_norm,
-    support_leq,
     tensor,
 )
 from alphaneg.states import max_entangled
 
-from _reference import subsystem_transpose, two_stage_check_hermitian
+from _reference import (
+    hermitian_eig,
+    matrix_power_support,
+    subsystem_transpose,
+    two_stage_check_hermitian,
+)
 from conftest import random_hermitian, random_pd, random_psd
 
 DIMS22 = BipartitionDims(2, 2)
@@ -173,6 +176,8 @@ class TestPartialTrace:
 
 
 class TestHermitianEig:
+    """The decomposition of the reference mu_alpha path."""
+
     def test_sorted_diag(self):
         w, _ = hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
         np.testing.assert_allclose(w, [1.0, 2.0, 3.0])
@@ -389,47 +394,54 @@ class TestSchattenNorm:
 
 
 class TestMatrixPowerSupport:
+    """sigma^p as ``_support_power`` returns it for X inside the support."""
+
     def test_identity_fixed_point(self):
         for p in (-1.0, -0.5, 0.5, 2.0):
-            np.testing.assert_allclose(matrix_power_support(np.eye(3), p), np.eye(3), atol=1e-13)
+            np.testing.assert_allclose(_support_power(np.eye(3), np.eye(3), p), np.eye(3), atol=1e-13)
 
     def test_generalized_inverse(self):
-        got = matrix_power_support(np.diag([4.0, 0.0]).astype(complex), -0.5)
+        got = _support_power(np.diag([1.0, 0.0]), np.diag([4.0, 0.0]), -0.5)
         np.testing.assert_allclose(got, np.diag([0.5, 0.0]), atol=1e-13)
 
     def test_round_trip_on_support(self, rng):
-        sigma = random_psd(rng, 5, rank=3)
-        root = matrix_power_support(sigma, 0.5)
+        sigma = herm_part(random_psd(rng, 5, rank=3))
+        root = _support_power(sigma, sigma, 0.5)
         np.testing.assert_allclose(root @ root, sigma, atol=1e-9)
-        proj = matrix_power_support(sigma, 0.0)
+        proj = _support_power(sigma, sigma, 0.0)
         np.testing.assert_allclose(proj @ sigma @ proj, sigma, atol=1e-9)
+        np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
 
     def test_power_one_projects_to_support(self, rng):
-        sigma = random_psd(rng, 4, rank=2)
-        np.testing.assert_allclose(matrix_power_support(sigma, 1.0), sigma, atol=1e-10)
+        sigma = herm_part(random_psd(rng, 4, rank=2))
+        np.testing.assert_allclose(_support_power(sigma, sigma, 1.0), sigma, atol=1e-10)
 
     def test_rejects_negative_spectrum(self):
         with pytest.raises(NegativeSpectrumError):
-            matrix_power_support(np.diag([1.0, -1.0]), 0.5)
+            _support_power(np.eye(2), np.diag([1.0, -1.0]), 0.5)
 
 
 class TestSupportLeq:
+    """The support decision of ``_support_power``: None when X escapes."""
+
     def test_full_support_always_contains(self, rng):
-        assert support_leq(random_hermitian(rng, 4), np.eye(4))
+        assert _support_power(random_hermitian(rng, 4), np.eye(4), -0.5) is not None
 
     def test_detects_escape(self):
-        assert not support_leq(np.diag([1.0, -1.0]), np.diag([1.0, 0.0]))
+        for p in (0.0, -0.5):
+            assert _support_power(np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), p) is None
 
     def test_constructed_inclusion(self, rng):
-        sigma = random_psd(rng, 4, rank=3)
-        proj = matrix_power_support(sigma, 0.0)
-        x = proj @ random_hermitian(rng, 4) @ proj
-        assert support_leq(x, sigma)
+        sigma = herm_part(random_psd(rng, 4, rank=3))
+        proj = _support_power(sigma, sigma, 0.0)
+        x = herm_part(proj @ random_hermitian(rng, 4) @ proj)
+        assert _support_power(x, sigma, -0.25) is not None
+        assert _support_power(x + 1e-6 * np.eye(4), sigma, -0.25) is None
 
     def test_rejects_negative_spectrum(self):
-        # the support is matrix_power_support's, which rejects a non-PSD sigma
+        # the spectrum is tested first, so an X outside the support raises too
         with pytest.raises(NegativeSpectrumError):
-            support_leq(np.diag([0.5, -0.5]), np.diag([1.0, -0.5]))
+            _support_power(np.eye(3), np.diag([1.0, -0.5, 0.0]), 0.0)
 
 
 class TestPsdProject:

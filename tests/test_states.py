@@ -201,6 +201,21 @@ class TestCqStates:
         expect = sum(wi * np.trace(b) for wi, b in zip(w, blocks))
         assert abs(np.trace(got) - expect) < 1e-12
 
+    @pytest.mark.parametrize(
+        "weights,blocks,message",
+        [
+            ([0.5], [np.eye(2), np.eye(2)], r"weights of shape \(1,\) and blocks of shapes \[\(2, 2\), \(2, 2\)\]"),
+            ([0.5, 0.5], [np.eye(2)], r"weights of shape \(2,\) and blocks of shapes \[\(2, 2\)\]"),
+            ([], [], r"weights of shape \(0,\) and blocks of shapes \[\]"),
+            ([0.5, 0.5], [np.eye(2), np.eye(3)], r"blocks of shapes \[\(2, 2\), \(3, 3\)\]"),
+            ([1.0], [np.ones((2, 3))], r"blocks of shapes \[\(2, 3\)\]"),
+        ],
+        ids=["too-few-weights", "too-many-weights", "empty", "unequal-blocks", "non-square"],
+    )
+    def test_rejects_malformed_input(self, weights, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            cq_assemble(weights, blocks)
+
     def test_schatten_power_additivity(self, rng):
         blocks = [random_hermitian(rng, 2) for _ in range(3)]
         w = [1.0, 1.0, 1.0]
