@@ -20,6 +20,7 @@ module owns the conventions:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,14 +41,18 @@ _RESCALE_ABOVE = 2.0**512
 
 @dataclass(frozen=True)
 class BipartitionDims:
-    """The A:B split of a composite space of dimension dA * dB."""
+    """The A:B split of a composite space of dimension dA * dB; each factor
+    is a Python or NumPy integer of at least 1 (not a bool), stored as an int."""
 
     dA: int
     dB: int
 
     def __post_init__(self):
-        if self.dA < 1 or self.dB < 1:
-            raise ValueError(f"dimensions must be positive, got {self.dA}x{self.dB}")
+        for name in ("dA", "dB"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     @property
     def total(self) -> int:

@@ -27,7 +27,9 @@ Three routes, one value scale (bits, log base 2):
   place on its buffer; the block inverses are taken Hermitian first, since
   the factorization reads one triangle.  Should the factorization fail, the
   system is re-formed from the other two buffers and solved by LU, then by
-  least squares.
+  least squares.  This Cholesky solve is the package's one use of
+  ``scipy.linalg``, which loads on the first barrier solve, not with the
+  package: the other routes run on numpy alone.
 
 Both cores take the map as a callable, so they serve any positive map.  The
 branching between the routes, the PPT short-circuit, the warm start and the
@@ -71,7 +73,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .divergence import _free_abs, check_alpha, log_negativity
 from .errors import NotConvergedError, NotPositiveDefiniteError
@@ -94,6 +95,9 @@ from .states import BipartiteState, as_state
 _TRACED_BINDINGS = (check_hermitian,)
 
 LN2 = math.log(2.0)
+
+# scipy.linalg's, bound by the first barrier solve (see ``_kappa_core``)
+cho_factor = cho_solve = None
 
 
 @dataclass(frozen=True)
@@ -484,8 +488,16 @@ def _kappa_core(
     it fails, H is re-formed from them and solved by LU, and by least
     squares if LU fails too.
 
+    The factorization and the solve are the module's ``cho_factor`` and
+    ``cho_solve``, looked up at each step.  The first call imports them from
+    ``scipy.linalg``; importing the package loads no scipy module.
+
     Returns (Tr S, S, Newton steps), with S Hermitian.
     """
+    global cho_factor, cho_solve
+    if cho_solve is None:  # bound after cho_factor, so both are set once it is
+        from scipy.linalg import cho_factor, cho_solve
+
     D = X.shape[0]
     Pm = (
         _conjugated_choi(lambda m: m, lambda m: m, apply_map, D)

@@ -29,6 +29,7 @@ from alphaneg.channels import (
     werner_holevo_channel,
     werner_holevo_value,
 )
+from alphaneg.divergence import log_negativity
 from alphaneg.errors import CommutationFailedError, OutOfDomainError
 from alphaneg.linalg import (
     BipartitionDims,
@@ -37,7 +38,7 @@ from alphaneg.linalg import (
     tensor,
 )
 from alphaneg.resource import builtin_map, free_instrument_monotonicity_check, r_alpha_channel
-from alphaneg.solver import DEFAULT_CONFIG
+from alphaneg.solver import DEFAULT_CONFIG, e_kappa
 from alphaneg.states import (
     BipartiteState,
     max_entangled,
@@ -462,6 +463,27 @@ print(value.hex())
 """
 
 
+# Prints, as JSON, the scipy modules loaded after each step, then the kappa
+# value's hex form.
+SCIPY_PROBE = """
+import json, math, sys
+sys.path.insert(0, {src!r})
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import alphaneg, alphaneg.cli
+from alphaneg import BipartitionDims, SolverConfig, e_alpha, e_kappa, project_ppt, random_state
+loaded = [scipy_modules()]
+rho = random_state(BipartitionDims(2, 3), 3, 1)
+project_ppt(rho.matrix, rho.dims)
+e_alpha(rho, 1.5, SolverConfig(with_bracket=False))
+loaded.append(scipy_modules())
+kappa = e_kappa(rho).value_bits
+print(json.dumps([loaded, "scipy.linalg" in sys.modules, kappa.hex()]))
+"""
+
+
 class TestOptimizerLoading:
     def test_import_leaves_scipy_optimize_unloaded_until_a_search(self):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -476,6 +498,23 @@ class TestOptimizerLoading:
         assert (before, after) == ("False", "True")
         # the tolerance `repro werner-holevo` checks against
         assert abs(float.fromhex(value) - werner_holevo_value(1.0, 2)) <= 5e-3
+
+    def test_only_the_kappa_solve_loads_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE.format(src=str(src))],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        (after_import, after_finite_order), linalg_loaded, kappa = json.loads(proc.stdout)
+        assert after_import == []
+        assert after_finite_order == []
+        assert linalg_loaded
+        rho = random_state(BipartitionDims(2, 3), 3, 1)
+        assert log_negativity(rho) > 0  # NPT, so no route is skipped as free
+        assert kappa == e_kappa(rho).value_bits.hex()
 
     def test_minimize_resolves_through_the_module_attribute(self):
         from scipy import optimize

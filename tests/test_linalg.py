@@ -81,6 +81,24 @@ class TestTensor:
         np.testing.assert_allclose(tensor(a, b), kron_oracle(a, b), atol=1e-14)
 
 
+class TestBipartitionDims:
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(2.0, "2.0"), (True, "True"), (np.bool_(True), "np.True_"), (0, "0"), (-1, "-1"), ("2", "'2'")],
+    )
+    def test_rejects_what_is_not_an_integer_of_at_least_one(self, value, shown):
+        with pytest.raises(ValueError, match=rf"^dA must be an integer of at least 1, got {shown}$"):
+            BipartitionDims(value, 3)
+        with pytest.raises(ValueError, match=rf"^dB must be an integer of at least 1, got {shown}$"):
+            BipartitionDims(3, value)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        dims = BipartitionDims(np.int64(2), np.int32(3))
+        assert dims == BipartitionDims(2, 3)
+        assert type(dims.dA) is int and type(dims.dB) is int
+        assert type(dims.total) is int
+
+
 class TestPartialTranspose:
     def test_involution(self, rng):
         m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
