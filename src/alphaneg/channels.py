@@ -50,7 +50,7 @@ from .linalg import (
     partial_trace,
 )
 from .solver import DEFAULT_CONFIG, SolverConfig, e_alpha
-from .states import BipartiteState, _pairs_to_matrix, _positive_ints, as_state, swap_operator
+from .states import BipartiteState, _pairs_to_matrix, as_state, swap_operator
 
 _PROB_CUTOFF = 1e-8
 _CHOI_TOL = 1e-9  # relative to max(1, ||J||), except for trace preservation
@@ -72,9 +72,9 @@ optimize = _LazyOptimize()
 def _parse_dims(spec) -> tuple[int, BipartitionDims | None]:
     """Total dimension plus the declared bipartition, if any, from a JSON
     dims entry: a positive int or a list of one or two of them."""
-    dims = _positive_ints([spec] if isinstance(spec, int) else spec)
+    dims = [spec] if isinstance(spec, int) else list(spec)
     if len(dims) == 1:
-        return dims[0], None
+        return BipartitionDims(dims[0], 1).total, None
     if len(dims) == 2:
         bp = BipartitionDims(*dims)
         return bp.total, bp
@@ -332,6 +332,7 @@ def channel_e_alpha(
 def _check_werner_holevo(p: float, d: int) -> None:
     if d < 2:
         raise OutOfDomainError(f"local dimension must be >= 2, got {d}")
+    BipartitionDims(d, d)  # ValueError unless d is an integer
     if not 0 <= p <= 1:
         raise OutOfDomainError(f"mixing weight must lie in [0, 1], got {p}")
 

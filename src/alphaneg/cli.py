@@ -46,12 +46,6 @@ EXIT_UNCONVERGED = 3
 EXIT_OUT_OF_DOMAIN = 4
 
 
-def _fmt(value: float, precision: int) -> str:
-    if math.isinf(value):
-        return "inf"
-    return f"{value:.{precision}f}"
-
-
 # solver flag (argparse dest) -> the SolverConfig field it sets
 _SOLVER_FLAGS = {"tol": "value_tol", "max_iter": "max_iter", "seed": "seed"}
 
@@ -75,9 +69,7 @@ def non_negative_int(text: str) -> int:
 
 
 def _parse_alpha(text: str) -> float:
-    if text.lower() in ("inf", "infinity", "max"):
-        return math.inf
-    return float(text)
+    return math.inf if text.lower() == "max" else float(text)
 
 
 def _sweep_orders(args) -> list[float]:
@@ -99,9 +91,9 @@ def _sweep_orders(args) -> list[float]:
 
 def _print_result(result, precision: int) -> None:
     lo, hi = result.bracket
-    print(f"value_bits: {_fmt(result.value_bits, precision)}")
+    print(f"value_bits: {result.value_bits:.{precision}f}")
     print(f"alpha: {result.alpha}")
-    print(f"bracket: [{_fmt(lo, precision)}, {_fmt(hi, precision)}]")
+    print(f"bracket: [{lo:.{precision}f}, {hi:.{precision}f}]")
     print(f"iterations: {result.iterations}")
     print(f"converged: {result.converged}")
     if result.diagnostic:
@@ -131,7 +123,7 @@ def cmd_sweep(args) -> int:
                     r.alpha,
                     f"{r.value_bits:.12g}",
                     f"{r.bracket[0]:.12g}",
-                    f"{r.bracket[1]:.12g}" if not math.isinf(r.bracket[1]) else "inf",
+                    f"{r.bracket[1]:.12g}",
                     r.iterations,
                     int(r.converged),
                 ]
@@ -184,13 +176,13 @@ def cmd_channel(args) -> int:
         if len(params) != 2 or not params[1].is_integer():
             raise OutOfDomainError("family wh takes p,d with d a finite integer")
         value = werner_holevo_value(params[0], int(params[1]))
-        print(f"value_bits: {_fmt(value, args.precision)}")
+        print(f"value_bits: {value:.{args.precision}f}")
         return EXIT_OK
     if not args.channel:
         raise ValueError("a channel file or --family is required")
     channel = load_channel(args.channel)
     value, details = channel_e_alpha(channel, args.alpha, args.cfg, with_details=True)
-    print(f"value_bits: {_fmt(value, args.precision)}")
+    print(f"value_bits: {value:.{args.precision}f}")
     if details["dispersion_flag"]:
         print(
             f"warning: restart dispersion {details['dispersion']:.3g} exceeds tolerance",
@@ -206,8 +198,8 @@ def _repro_table(rows, precision: int) -> int:
         ok = abs(computed - expected) <= tolerance
         failures += 0 if ok else 1
         print(
-            f"{name:<{width}} computed={_fmt(computed, precision)} "
-            f"expected={_fmt(expected, precision)} "
+            f"{name:<{width}} computed={computed:.{precision}f} "
+            f"expected={expected:.{precision}f} "
             f"tol={tolerance:g} [{'PASS' if ok else 'FAIL'}]"
         )
     return failures
@@ -243,8 +235,8 @@ def cmd_repro(args) -> int:
             ok = margin > 0.01
             failures += 0 if ok else 1
             print(
-                f"order {alpha}: split-sum={_fmt(total, precision)} "
-                f"joint={_fmt(big, precision)} margin={_fmt(margin, precision)} "
+                f"order {alpha}: split-sum={total:.{precision}f} "
+                f"joint={big:.{precision}f} margin={margin:.{precision}f} "
                 f"[{'PASS' if ok else 'FAIL'}]"
             )
 

@@ -533,8 +533,8 @@ def _kappa_core(
         m = apply_map(Smat)
         return herm_part(m - X), herm_part(m + X), Smat
 
-    def phi(Smat, tval):
-        total = tval * float(np.trace(Smat).real)
+    def phi(Smat):
+        total = t * float(np.trace(Smat).real)
         for blk in blocks(Smat):
             ok, ld = _chol_logdet(blk)
             if not ok:
@@ -571,29 +571,22 @@ def _kappa_core(
             if lam2 / 2.0 <= 1e-11:
                 break
             step_mat = herm_part(delta.reshape(D, D))
-            if lam2 <= 0.3:
-                # pure Newton phase: feasibility backtrack only, the quadratic
-                # model is trusted and phi comparisons would drown in rounding
-                step = 1.0
-                while step > 1e-14:
-                    trial = S + step * step_mat
-                    if all(_chol_logdet(b)[0] for b in blocks(trial)):
-                        break
-                    step *= 0.5
-                S = herm_part(S + step * step_mat)
-            else:
-                base = phi(S, t)
-                step = 1.0
-                accepted = False
-                while step > 1e-14:
-                    trial = herm_part(S + step * step_mat)
-                    if phi(trial, t) <= base - 0.25 * step * lam2:
-                        accepted = True
-                        break
-                    step *= 0.5
-                if not accepted:
+            # one acceptance rule: phi(trial) finite, so every block is
+            # positive definite, and at most base - step * lam2 / 4.  In the
+            # pure Newton phase base is +inf, a feasibility test alone: the
+            # quadratic model is trusted, and phi comparisons would drown in
+            # rounding
+            base = math.inf if lam2 <= 0.3 else phi(S)
+            step = 1.0
+            while step > 1e-14:
+                trial = herm_part(S + step * step_mat)
+                value = phi(trial)
+                if math.isfinite(value) and value <= base - 0.25 * step * lam2:
                     break
-                S = trial
+                step *= 0.5
+            else:
+                break  # no step passed: the stage ends
+            S = trial
         if nu / t < _BARRIER_GAP_TOL:
             break
         t *= _BARRIER_GROWTH

@@ -71,9 +71,10 @@ def max_entangled(d: int) -> BipartiteState:
     """Maximally entangled state of Schmidt rank d on C^d x C^d."""
     if d < 2:
         raise ValueError(f"Schmidt rank must be >= 2, got {d}")
+    dims = BipartitionDims(d, d)
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1 / np.sqrt(d)
-    return BipartiteState(BipartitionDims(d, d), np.outer(v, v.conj()))
+    return BipartiteState(dims, np.outer(v, v.conj()))
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -93,6 +94,7 @@ def werner_state(d: int, p: float) -> BipartiteState:
     """
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
+    dims = BipartitionDims(d, d)
     if not 0 <= p <= 1:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
     F = swap_operator(d)
@@ -100,7 +102,7 @@ def werner_state(d: int, p: float) -> BipartiteState:
     sym = (eye + F) / 2
     anti = (eye - F) / 2
     m = (1 - p) * 2 / (d * (d + 1)) * sym + p * 2 / (d * (d - 1)) * anti
-    return BipartiteState(BipartitionDims(d, d), m)
+    return BipartiteState(dims, m)
 
 
 def random_state(dims: BipartitionDims, rank: int, seed: int) -> BipartiteState:
@@ -203,15 +205,6 @@ def _pairs_to_matrix(rows: list) -> np.ndarray:
     return m
 
 
-def _positive_ints(values) -> list[int]:
-    """A JSON list of dimensions; ValueError unless each is a positive int."""
-    dims = list(values)
-    for d in dims:
-        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-            raise ValueError(f"dimensions must be positive integers, got {d!r}")
-    return dims
-
-
 def state_to_json(state: BipartiteState) -> dict:
     return {"dims": [state.dims.dA, state.dims.dB], "matrix": _matrix_to_pairs(state.matrix)}
 
@@ -219,7 +212,7 @@ def state_to_json(state: BipartiteState) -> dict:
 def state_from_json(payload: dict, raw: bool = False):
     """Parse the state JSON object; with raw=True return (dims, Hermitian matrix)."""
     try:
-        dims = BipartitionDims(*_positive_ints(payload["dims"]))
+        dims = BipartitionDims(*payload["dims"])
         m = _pairs_to_matrix(payload["matrix"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidStateError(f"malformed state JSON: {exc}") from exc

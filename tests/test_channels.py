@@ -444,6 +444,17 @@ class TestWernerHolevo:
         with pytest.raises(OutOfDomainError):
             werner_holevo_channel(0.5, 1)
 
+    @pytest.mark.parametrize("family", [werner_holevo_channel, werner_holevo_value])
+    @pytest.mark.parametrize("d", [2.0, 2.5, math.inf])
+    def test_rejects_a_non_integer_d(self, family, d):
+        # 2.5 read 0.4005 bits through the closed form
+        with pytest.raises(ValueError, match=rf"^dA must be an integer of at least 1, got {d}$"):
+            family(0.7, d)
+
+    def test_accepts_a_numpy_integer_d(self):
+        assert werner_holevo_value(0.9, np.int64(3)) == werner_holevo_value(0.9, 3)
+        assert np.array_equal(werner_holevo_channel(0.7, np.int64(3)).matrix, werner_holevo_channel(0.7, 3).matrix)
+
 
 # Run in a fresh interpreter: the state measures and the CLI leave
 # scipy.optimize unloaded, and the first channel search loads it.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from alphaneg.divergence import binegativity_psd, d_max, log_negativity, mu_alpha
 from alphaneg.errors import NotConvergedError, NotPositiveDefiniteError
-from alphaneg.linalg import BipartitionDims, _pt, partial_transpose, schatten_norm
+from alphaneg.linalg import BipartitionDims, _pt, herm_part, partial_transpose, schatten_norm
 from alphaneg import solver
 from alphaneg.pptgeom import regularize
 from alphaneg.solver import (
@@ -281,6 +281,48 @@ class TestKappaCore:
         assert np.array_equal(overwritten[1], kept[1])
         assert overwritten[2] == kept[2]
         assert abs(math.log2(overwritten[0]) - math.log2(value)) <= KAPPA_TOL
+
+    def test_pure_phase_halves_a_step_that_leaves_the_cone(self, monkeypatch):
+        # in the pure Newton phase (lam2 <= 0.3) the full step stays inside
+        # the Dikin ellipsoid, so no solve backtracks there on its own.  The
+        # first trial of one such step is reported not positive definite:
+        # its phi is +inf, which passes no acceptance test, so the step must
+        # halve instead of being taken.
+        dims = BipartitionDims(2, 3)
+        x = partial_transpose(random_state(dims, 3, 11).matrix, dims)
+        pt = lambda m: partial_transpose(m, dims, "B")
+        value = solver._kappa_core(x, pt)[0]
+        events = []
+        real_vdot, real_chol_logdet = np.vdot, solver._chol_logdet
+
+        def vdot(g, delta):
+            out = real_vdot(g, delta)
+            events.append(("step", -float(out.real), delta.copy()))
+            return out
+
+        def chol_logdet(a):
+            last = events[-1]
+            if last[0] == "step" and last[1] <= 0.3 and all(e[0] != "fail" for e in events):
+                events.append(("fail", a.copy()))
+                return False, -math.inf
+            events.append(("chol", a.copy()))
+            return real_chol_logdet(a)
+
+        monkeypatch.setattr(np, "vdot", vdot)
+        monkeypatch.setattr(solver, "_chol_logdet", chol_logdet)
+        trace, s_mat, _ = solver._kappa_core(x, pt)
+        monkeypatch.undo()
+
+        at = next(i for i, e in enumerate(events) if e[0] == "fail")
+        (_, lam2, delta), (_, full), after = events[at - 1 : at + 2]
+        # the next trial is of the same step, at half its length: the first
+        # block map(S + step * Delta) - X moves by map(Delta) / 2
+        assert 0.0 < lam2 <= 0.3 and after[0] == "chol"
+        moved = herm_part(pt(herm_part(delta.reshape(dims.total, dims.total)))) / 2
+        np.testing.assert_allclose(full - after[1], moved, rtol=0, atol=1e-9 * np.abs(moved).max())
+        for block in (pt(s_mat) - x, pt(s_mat) + x, s_mat):
+            assert np.linalg.eigvalsh(block)[0] > 0.0
+        assert abs(math.log2(trace) - math.log2(value)) <= KAPPA_TOL
 
 
 class TestKronInto:

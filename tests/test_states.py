@@ -60,6 +60,14 @@ class TestMaxEntangled:
         with pytest.raises(ValueError):
             max_entangled(1)
 
+    @pytest.mark.parametrize("d", [2.0, 2.5, math.inf])
+    def test_rejects_a_non_integer_d(self, d):
+        with pytest.raises(ValueError, match=rf"^dA must be an integer of at least 1, got {d}$"):
+            max_entangled(d)
+
+    def test_accepts_a_numpy_integer_d(self):
+        assert max_entangled(np.int64(3)).dims == BipartitionDims(3, 3)
+
 
 class TestWernerState:
     def test_symmetric_endpoint_valid(self):
@@ -93,6 +101,14 @@ class TestWernerState:
             werner_state(2, 1.5)
         with pytest.raises(ValueError):
             werner_state(1, 0.5)
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, math.inf])
+    def test_rejects_a_non_integer_d(self, d):
+        with pytest.raises(ValueError, match=rf"^dA must be an integer of at least 1, got {d}$"):
+            werner_state(d, 0.3)
+
+    def test_accepts_a_numpy_integer_d(self):
+        assert np.array_equal(werner_state(np.int64(3), 0.3).matrix, werner_state(3, 0.3).matrix)
 
 
 class TestRandomState:
