@@ -19,9 +19,9 @@ unit-norm amplitude matrices Psi for both channel measures:
 ``channel_e_alpha`` measures the output (Psi (x) I) J_N (Psi (x) I)^dag of
 the pure input with reference, ``channel_output_state``, and
 ``resource.r_alpha_channel`` measures N applied to the input state
-Psi Psi^dag / ||Psi||^2.  ``scipy.optimize`` loads on the first search, not
-with the package: the state measures never use it.  ``optimize`` is the one
-name through which the search reaches ``minimize``.
+Psi Psi^dag / ||Psi||^2.  The simplex method is the package's own numpy
+port, ``alphaneg.optimize``, so no search loads scipy; ``optimize`` is the
+one name through which the search reaches ``minimize``.
 
 A channel's JSON format: {"kind": "kraus" | "superop", "dims_in": [...],
 "dims_out": [...], "data": ...} with the same [re, im] entry pairs as the
@@ -38,6 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import optimize
 from .divergence import check_alpha
 from .errors import InvalidStateError, OutOfDomainError
 from .linalg import (
@@ -54,19 +55,6 @@ from .states import BipartiteState, _pairs_to_matrix, as_state, swap_operator
 
 _PROB_CUTOFF = 1e-8
 _CHOI_TOL = 1e-9  # relative to max(1, ||J||), except for trace preservation
-
-
-class _LazyOptimize:
-    """Stands in for ``scipy.optimize`` and imports it on first attribute
-    access."""
-
-    def __getattr__(self, name):
-        from scipy import optimize as module
-
-        return getattr(module, name)
-
-
-optimize = _LazyOptimize()
 
 
 def _parse_dims(spec) -> tuple[int, BipartitionDims | None]:
@@ -95,6 +83,8 @@ class SuperOperator:
     bipartition_out: BipartitionDims | None = None
 
     def __post_init__(self):
+        for side in ("dim_in", "dim_out"):  # the package's dimension rule
+            object.__setattr__(self, side, BipartitionDims(getattr(self, side), 1).total)
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.dim_out**2, self.dim_in**2):
             raise ValueError(
@@ -255,13 +245,14 @@ def _channel_search(channel: SuperOperator, measure, cfg, with_details: bool):
     with d the channel's input dimension.
 
     The channel must be CPTP, or ValueError is raised, so that every input
-    has a state as its image.  Seeded multi-start Nelder-Mead over the 2 d^2
-    real and imaginary parts of psi, normalized before ``measure`` sees it;
-    the first restart starts at the maximally entangled I/sqrt(d).  A
-    near-zero psi, or one whose image fails the state checks, scores the
-    penalty 1e6.  Returns the best value (and the search details when
-    ``with_details``); a restart spread above ``value_tol`` is reported in
-    the details rather than raised.
+    has a state as its image.  Seeded multi-start Nelder-Mead, through
+    ``optimize.minimize`` looked up at call time, over the 2 d^2 real and
+    imaginary parts of psi, normalized before ``measure`` sees it; the first
+    restart starts at the maximally entangled I/sqrt(d), the others at
+    standard normal points.  A near-zero psi, or one whose image fails the
+    state checks, scores the penalty 1e6.  Returns the best value (and the
+    search details when ``with_details``); a restart spread above
+    ``value_tol`` is reported in the details rather than raised.
     """
     d = channel.dim_in
     if d > 4:
@@ -287,13 +278,7 @@ def _channel_search(channel: SuperOperator, measure, cfg, with_details: bool):
     bests = []
     for restart in range(cfg.restarts):
         x0 = bell if restart == 0 else rng.standard_normal(2 * n)
-        res = optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": 300 * n, "xatol": 1e-5, "fatol": 1e-7},
-        )
-        bests.append(-res.fun)
+        bests.append(-optimize.minimize(objective, x0, maxiter=300 * n, xatol=1e-5, fatol=1e-7))
     value = max(bests)
     if with_details:
         return value, {
@@ -363,6 +348,7 @@ def werner_holevo_value(p: float, d: int) -> float:
 
 def random_kraus_channel(d_in: int, d_out: int, n_kraus: int, seed: int) -> SuperOperator:
     """Haar-style random CPTP map from a random isometry split into blocks."""
+    d_in, d_out = (BipartitionDims(d, 1).total for d in (d_in, d_out))  # before numpy sees them
     if n_kraus * d_out < d_in:
         raise ValueError(
             f"an isometry from C^{d_in} needs n_kraus * d_out >= d_in, got {n_kraus} * {d_out}"

@@ -27,9 +27,9 @@ Three routes, one value scale (bits, log base 2):
   place on its buffer; the block inverses are taken Hermitian first, since
   the factorization reads one triangle.  Should the factorization fail, the
   system is re-formed from the other two buffers and solved by LU, then by
-  least squares.  This Cholesky solve is the package's one use of
-  ``scipy.linalg``, which loads on the first barrier solve, not with the
-  package: the other routes run on numpy alone.
+  least squares.  This Cholesky solve is the package's one use of scipy:
+  ``scipy.linalg`` loads on the first barrier solve, not with the package,
+  and every other route, the channel search included, runs on numpy alone.
 
 Both cores take the map as a callable, so they serve any positive map.  The
 branching between the routes, the PPT short-circuit, the warm start and the
